@@ -51,6 +51,7 @@ from .multigraph import (
     FormatError,
     GraphError,
     Multigraph,
+    is_k_connected,
     parse_multigraph,
     serialize_multigraph,
     two_edge_cut_sides,

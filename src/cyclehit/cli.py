@@ -2,14 +2,15 @@
 
 Subcommands: gen, solve, oracle, verify, orient, check.
 Exit codes: 0 success/SAT/true, 1 UNSAT/false, 2 usage or input error,
-3 search budget exceeded.  All output is deterministic; randomized
-generation is driven entirely by --seed.
+3 search budget exceeded, 4 internal error (a bug, never a verdict).  All
+output is deterministic; randomized generation is driven entirely by --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from typing import Optional
 
 from .cycles import CycleSet, parse_cycles, serialize_cycles
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 PIPELINES = ("third", "half", "third-arb", "half-arb")
 FAMILIES = ("thm4", "thm5", "sec6-2k", "doubled", "petersen", "random")
@@ -299,6 +301,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (FormatError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # A failed postcondition, a RecursionError or any other bug must not
+        # exit 1, which reads as UNSAT.
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

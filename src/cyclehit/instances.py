@@ -6,7 +6,7 @@ import random
 from typing import Optional
 
 from .cycles import CycleSet
-from .multigraph import GraphError, Multigraph, vertex_connectivity
+from .multigraph import GraphError, Multigraph, is_k_connected
 
 __all__ = ["random_regular_multigraph", "pack_cycles"]
 
@@ -30,7 +30,7 @@ def random_regular_multigraph(
         if any(u == v for u, v in pairs):
             continue
         G = Multigraph(n, pairs)
-        if vertex_connectivity(G) >= min_connectivity:
+        if is_k_connected(G, min_connectivity):
             return G
     raise GraphError(f"no valid instance found in {max_tries} tries")
 

@@ -7,6 +7,8 @@ Parallel edges are allowed, loops are not.
 
 from __future__ import annotations
 
+import random
+from collections import defaultdict
 from typing import Iterable, Optional
 
 import networkx as nx
@@ -18,8 +20,16 @@ __all__ = [
     "parse_multigraph",
     "serialize_multigraph",
     "vertex_connectivity",
+    "is_k_connected",
     "two_edge_cut_sides",
 ]
+
+# Seed of the random cycle-space edge labels.  The labels only choose what
+# to test exactly, so no result depends on it.
+_LABEL_SEED = 0x2C0C1E
+# The 3-connectivity test screens a vertex by the XORs of all subsets of its
+# edges; above this degree it checks G - v directly instead.
+_SCREEN_MAX_DEGREE = 8
 
 
 class GraphError(ValueError):
@@ -203,27 +213,215 @@ def vertex_connectivity(G: Multigraph) -> int:
     return nx.node_connectivity(H)
 
 
+def _dfs_tree(
+    G: Multigraph, root: int, pre: list[int]
+) -> tuple[list[int], list[int]]:
+    """Iterative depth-first search from root over the vertices whose entry
+    in pre is negative.  Writes each reached vertex's preorder number into
+    pre and returns the vertices in preorder together with every vertex's
+    tree edge to its parent (-1 for the root and for unreached vertices)."""
+    edges, incident = G.edges, G._incident
+    pre[root] = 0
+    order = [root]
+    parent_edge = [-1] * G.n
+    stack = [(root, iter(incident[root]))]
+    while stack:
+        v, todo = stack[-1]
+        for eid in todo:
+            a, b = edges[eid]
+            w = b if a == v else a
+            if pre[w] < 0:
+                pre[w] = len(order)
+                order.append(w)
+                parent_edge[w] = eid
+                stack.append((w, iter(incident[w])))
+                break
+        else:
+            stack.pop()
+    return order, parent_edge
+
+
+def _cut_labels(G: Multigraph, order: list[int], parent_edge: list[int]) -> list[int]:
+    """Cycle-space edge labels of a connected graph, given a spanning tree as
+    returned by _dfs_tree (Pritchard and Thurimella, TALG 2011).
+
+    Every non-tree edge gets a random 64-bit label, and every tree edge the
+    XOR of the labels of the non-tree edges leaving its subtree.  A cycle
+    crosses an edge cut an even number of times, so the labels of any edge
+    cut XOR to exactly 0; a set of edges that is not a cut XORs to 0 only
+    with probability 2^-64.
+    """
+    rng = random.Random(_LABEL_SEED)
+    label = [0] * G.m
+    leaving = [0] * G.n  # XOR of the non-tree labels leaving each subtree
+    for eid, (u, v) in enumerate(G.edges):
+        if parent_edge[u] != eid and parent_edge[v] != eid:
+            label[eid] = rng.getrandbits(64)
+            leaving[u] ^= label[eid]
+            leaving[v] ^= label[eid]
+    for v in reversed(order[1:]):
+        eid = parent_edge[v]
+        label[eid] = leaving[v]
+        leaving[G.other_end(eid, v)] ^= leaving[v]
+    return label
+
+
+def _is_biconnected(G: Multigraph, removed: int = -1) -> bool:
+    """Whether G minus the vertex `removed` (none if -1) is connected and has
+    no articulation point; the remaining graph must have at least 3 vertices.
+
+    One depth-first search, then low-points in reverse preorder (Hopcroft and
+    Tarjan, CACM 1973): a non-root vertex p is an articulation point iff some
+    child's subtree has no edge to a proper ancestor of p, and the root iff
+    it has more than one child.  Parallel edges cannot hide a vertex cut.
+    """
+    pre = [-1] * G.n
+    if removed >= 0:
+        pre[removed] = G.n  # never entered, and never lowers a low-point
+    root = 1 if removed == 0 else 0
+    order, parent_edge = _dfs_tree(G, root, pre)
+    if len(order) < G.n - (removed >= 0):
+        return False
+    low = pre[:]
+    root_children = 0
+    for v in reversed(order[1:]):
+        for eid in G._incident[v]:
+            w = G.other_end(eid, v)
+            if pre[w] < low[v]:
+                low[v] = pre[w]
+        p = G.other_end(parent_edge[v], v)
+        if p == root:
+            root_children += 1
+        elif low[v] >= pre[p]:
+            return False
+        if low[v] < low[p]:
+            low[p] = low[v]
+    return root_children == 1
+
+
+def _may_face_component(G: Multigraph, v: int, mask: int, u: int) -> bool:
+    """Whether the edges at v selected by mask (bit i for the i-th incident
+    edge) can be v's edges into one component of G - {u, v}: they contain
+    no u-v edge and leave out at least one edge not to u."""
+    incident = G._incident[v]
+    to_u = sum(1 << i for i, eid in enumerate(incident) if G.other_end(eid, v) == u)
+    return mask & to_u == 0 and mask != ((1 << len(incident)) - 1) & ~to_u
+
+
+def _is_3_connected(G: Multigraph) -> bool:
+    """Whether G (n >= 4) is 2-connected and G - v is 2-connected for every
+    vertex v, checking G - v only where the edge labels cannot rule out a
+    2-vertex cut containing v.
+
+    If G - {a, b} has a component C, the edges from C to a and from C to b
+    together form the cut around C, so their label XORs are equal.  Each
+    vertex of degree at most _SCREEN_MAX_DEGREE files the XOR of every
+    non-empty proper subset of its edges; a and b can be a 2-vertex cut only
+    if they file the same value for edge sets that pass _may_face_component.
+    Every such a, and every vertex of higher degree, has G - a checked
+    exactly, so the answer never depends on the labels.  On bounded degree
+    this is O(n + m) unless labels collide or a 2-vertex cut is found.
+    """
+    if not _is_biconnected(G):
+        return False
+    order, parent_edge = _dfs_tree(G, 0, [-1] * G.n)
+    label = _cut_labels(G, order, parent_edge)
+    cleared: set[int] = set()  # vertices v with G - v known 2-connected
+
+    def clear(v: int) -> bool:
+        if not _is_biconnected(G, v):
+            return False
+        cleared.add(v)
+        return True
+
+    filed = defaultdict(list)
+    for v in range(G.n):
+        incident = G._incident[v]
+        if len(incident) > _SCREEN_MAX_DEGREE:
+            if not clear(v):
+                return False
+            continue
+        xor = [0] * (1 << len(incident))
+        for mask in range(1, len(xor) - 1):
+            lowest = mask & -mask
+            xor[mask] = xor[mask ^ lowest] ^ label[incident[lowest.bit_length() - 1]]
+            filed[xor[mask]].append((v, mask))
+    for entries in filed.values():
+        for i, (a, a_mask) in enumerate(entries):
+            for b, b_mask in entries[i + 1:]:
+                if (
+                    a != b
+                    and a not in cleared
+                    and b not in cleared
+                    and _may_face_component(G, a, a_mask, b)
+                    and _may_face_component(G, b, b_mask, a)
+                    and not clear(a)
+                ):
+                    return False
+    return True
+
+
+def is_k_connected(G: Multigraph, k: int) -> bool:
+    """Whether vertex_connectivity(G) >= k, without computing it for k <= 3.
+
+    k <= 1 is a connectivity test and k = 2 one low-point search.  k = 3
+    requires n >= 4, G 2-connected and G - v 2-connected for every vertex v;
+    edge labels (see _is_3_connected) skip the vertices that cannot be in a
+    2-vertex cut, so the cost is O(n (n + m)) at worst and near-linear on
+    bounded degree.  Larger k falls back to the exact vertex_connectivity.
+    """
+    if k <= 0:
+        return True
+    if G.n <= k:  # vertex connectivity never exceeds n - 1
+        return False
+    if k == 1:
+        return G.is_connected()
+    if k == 2:
+        return _is_biconnected(G)
+    if k == 3:
+        return _is_3_connected(G)
+    return vertex_connectivity(G) >= k
+
+
 def two_edge_cut_sides(
     G: Multigraph,
 ) -> list[tuple[tuple[int, int], tuple[frozenset[int], frozenset[int]]]]:
     """All 2-edge-cuts with the vertex bipartition each one induces.
 
     Requires a 2-edge-connected graph: bridges (and disconnected input) are
-    rejected.  Cuts are listed in lexicographic edge-id order, and each
-    bipartition lists the side containing vertex 0 first.
+    rejected, naming the lowest bridge id.  Cuts are listed in lexicographic
+    edge-id order, and each bipartition lists the side containing vertex 0
+    first.
+
+    Method: cycle-space labels over a depth-first spanning tree (see
+    _cut_labels), O(n + m).  The labels of an edge cut XOR to 0, so a
+    bridge always has label 0 and the two edges of a 2-edge-cut always
+    share a label.  Only those edges and pairs are candidates, and each is
+    confirmed by an exact component count.  A label collision can only add a
+    candidate that fails its count, so the result is exact and independent
+    of the labels; the extra cost is one component count per cut listed.
     """
-    if not G.is_connected():
+    if G.n == 0:
+        return []
+    order, parent_edge = _dfs_tree(G, 0, [-1] * G.n)
+    if len(order) < G.n:
         raise GraphError("graph is disconnected")
+    label = _cut_labels(G, order, parent_edge)
     for eid in range(G.m):
-        if len(G.components(excluded_edges=(eid,))) > 1:
+        if label[eid] == 0 and len(G.components(excluded_edges=(eid,))) > 1:
             raise GraphError(f"graph has a bridge: edge {eid}")
+    classes = defaultdict(list)
+    for eid, x in enumerate(label):
+        classes[x].append(eid)
     cuts = []
-    for e in range(G.m):
-        for f in range(e + 1, G.m):
-            comps = G.components(excluded_edges=(e, f))
-            if len(comps) == 2:
-                a, b = comps
-                if 0 not in a:
-                    a, b = b, a
-                cuts.append(((e, f), (frozenset(a), frozenset(b))))
+    for ids in classes.values():
+        for i, e in enumerate(ids):
+            for f in ids[i + 1:]:
+                comps = G.components(excluded_edges=(e, f))
+                if len(comps) == 2:
+                    a, b = comps
+                    if 0 not in a:
+                        a, b = b, a
+                    cuts.append(((e, f), (frozenset(a), frozenset(b))))
+    cuts.sort(key=lambda cut: cut[0])
     return cuts

@@ -16,7 +16,7 @@ from typing import Optional
 from .cycles import CycleSet, cycle_decomposition, cycle_vertices
 from .expansion import cubic_expansion, project_factor, split_expansion
 from .factors import Factor, two_factorization, verify_factor, verify_intersections
-from .multigraph import GraphError, Multigraph, vertex_connectivity
+from .multigraph import GraphError, Multigraph, is_k_connected
 from .orientation import Orientation, verify_orientation
 from .solver import (
     SAT,
@@ -58,6 +58,10 @@ def _require(condition: bool, message: str):
         raise GraphError(message)
 
 
+def _reject_2_cycles(O: CycleSet):
+    _require(O.min_length() >= 3 or len(O) == 0, "2-cycles are not allowed here")
+
+
 def _check_common(
     G: Multigraph,
     O: CycleSet,
@@ -68,13 +72,11 @@ def _check_common(
     _require(O.host == G, "cycle set does not belong to this graph")
     _require(G.is_regular() == regularity, f"graph must be {regularity}-regular")
     _require(
-        vertex_connectivity(G) >= connectivity,
+        is_k_connected(G, connectivity),
         f"graph must be {connectivity}-connected",
     )
     if odd_only:
         _require(O.all_odd(), "all prescribed cycles must be odd")
-    else:
-        _require(O.min_length() >= 3 or len(O) == 0, "2-cycles are not allowed here")
 
 
 def _unwrap(verdict: OracleVerdict, what: str) -> tuple[int, ...]:
@@ -134,9 +136,12 @@ def orient_even_indegree(
     Method: orient a full cycle decomposition cyclically, then flip the
     original edges matched in a cycle-hitting perfect matching of the cubic
     expansion.  With arbitrary=True, cycles of any length >= 3 are accepted,
-    G must be 3-connected, and the matching is found by 2-cut recursion.
+    G must be 3-connected, and the matching is found by 2-cut recursion;
+    2-cycles are rejected even when checked=False.
     """
     _require(t >= 2 and t % 2 == 0, "t must be an even integer >= 2")
+    if arbitrary:
+        _reject_2_cycles(O)
     if checked:
         _check_common(
             G,
@@ -209,7 +214,7 @@ def third_arbitrary_pipeline(
     """Like third_pipeline for cycles of any length >= 3 on 3-connected
     input; no edge can be prescribed, and the expanded instance (which may
     contain 2-edge-cuts) is solved by the 2-cut recursion."""
-    _require(O.min_length() >= 3 or len(O) == 0, "2-cycles are not allowed here")
+    _reject_2_cycles(O)
     if checked:
         _check_common(G, O, regularity=3 * t, connectivity=3, odd_only=False)
     xmap, induced = cubic_expansion(G, O, t, family="third")
@@ -238,7 +243,6 @@ def half_arbitrary_pipeline(
     checked: bool = True,
 ) -> PipelineReport:
     """half_pipeline for cycles of any length >= 3 on 3-connected input."""
-    _require(O.min_length() >= 3 or len(O) == 0, "2-cycles are not allowed here")
     return half_pipeline(G, O, t, budget=budget, checked=checked, arbitrary=True)
 
 

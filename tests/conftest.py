@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's search engine so that
 agreement between the two is meaningful: subset enumeration runs on numpy
-bit matrices, matchings are enumerated by a plain recursive matcher, and
-connectivity is checked by removing every vertex subset.
+bit matrices, matchings are enumerated by a plain recursive matcher,
+connectivity is checked by removing every vertex subset, and 2-edge-cuts by
+removing every edge pair.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cyclehit import CycleSet, Multigraph
+from cyclehit import CycleSet, GraphError, Multigraph
 
 
 # ---------------------------------------------------------------- fixtures
@@ -162,3 +163,34 @@ def naive_vertex_connectivity(G: Multigraph) -> int:
             if not H.is_connected():
                 return size
     return G.n - 1
+
+
+def prism(k: int) -> Multigraph:
+    """C_k x K2: two k-cycles joined by a perfect matching (3-connected and
+    cubic for k >= 3)."""
+    edges = []
+    for i in range(k):
+        edges += [(i, (i + 1) % k), (k + i, k + (i + 1) % k), (i, k + i)]
+    return Multigraph(2 * k, edges)
+
+
+# ------------------------------------------------- 2-edge-cut oracle
+
+def naive_two_edge_cut_sides(G: Multigraph):
+    """two_edge_cut_sides by removing every edge and every edge pair, with
+    the same errors and output order; O(m^2 (n + m))."""
+    if not G.is_connected():
+        raise GraphError("graph is disconnected")
+    for eid in range(G.m):
+        if len(G.components(excluded_edges=(eid,))) > 1:
+            raise GraphError(f"graph has a bridge: edge {eid}")
+    cuts = []
+    for e in range(G.m):
+        for f in range(e + 1, G.m):
+            comps = G.components(excluded_edges=(e, f))
+            if len(comps) == 2:
+                a, b = comps
+                if 0 not in a:
+                    a, b = b, a
+                cuts.append(((e, f), (frozenset(a), frozenset(b))))
+    return cuts

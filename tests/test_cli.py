@@ -152,3 +152,36 @@ def test_doubled_family_via_cli(tmp_path, capsys):
     G = parse_multigraph(g.read_text())
     O = parse_cycles(c.read_text(), G)
     assert G.m == 6 and len(O) == 3
+
+
+def test_arbitrary_half_rejects_two_cycles_unchecked(tmp_path, capsys):
+    # 4-regular and 3-connected, with the 0-1 pair prescribed as a 2-cycle;
+    # the API raises the same error (test_pipelines).
+    g = tmp_path / "g.mg"
+    c = tmp_path / "g.cyc"
+    g.write_text("p mg 5 10\ne 0 1\ne 0 1\ne 0 3\ne 0 4\ne 1 2\n"
+                 "e 1 4\ne 2 3\ne 2 3\ne 2 4\ne 3 4\n")
+    c.write_text("p cyc 1\nc 2 0 1\n")
+    inputs = ("--graph", str(g), "--cycles", str(c), "--t", "2")
+    for flags in ((), ("--unchecked",)):
+        for argv in (("solve", "--pipeline", "half-arb"), ("orient", "--arbitrary")):
+            code, out, err = run(capsys, *argv, *inputs, *flags)
+            assert (code, out) == (2, "")
+            assert err == "error: 2-cycles are not allowed here\n"
+
+
+@pytest.mark.parametrize("exc", [AssertionError("postcondition"), RecursionError("deep")])
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    g = tmp_path / "p.mg"
+    c = tmp_path / "p.cyc"
+    assert run(capsys, "gen", "--family", "petersen",
+               "--out", str(g), "--cycles", str(c))[0] == 0
+    monkeypatch.setattr("cyclehit.cli.third_pipeline", broken)
+    code, out, err = run(capsys, "solve", "--pipeline", "third", "--graph", str(g),
+                         "--cycles", str(c), "--t", "1", "--force-edge", "0")
+    assert code == 4
+    assert out == ""
+    assert err.endswith(f"internal error: {type(exc).__name__}: {exc}\n")

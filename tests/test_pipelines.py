@@ -1,3 +1,4 @@
+import networkx
 import pytest
 
 from cyclehit import (
@@ -21,6 +22,7 @@ from cyclehit import (
     verify_factor,
     verify_intersections,
     verify_orientation,
+    vertex_connectivity,
 )
 from conftest import circulant, doubled_triangle, k4
 
@@ -151,3 +153,33 @@ def test_arbitrary_pipelines_reject_two_cycles():
     inst2 = gen_doubled(Multigraph(3, [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(GraphError):
         half_arbitrary_pipeline(inst2.graph, inst2.cycles, 2)
+    # K5 with edges 0-2 and 1-3 traded for a second 0-1 and a second 2-3:
+    # 4-regular and 3-connected, with the 0-1 pair prescribed as a 2-cycle.
+    # Rejected with and without the precondition checks, as in the CLI.
+    G = Multigraph(5, [(0, 1), (0, 1), (0, 3), (0, 4), (1, 2),
+                       (1, 4), (2, 3), (2, 3), (2, 4), (3, 4)])
+    O = CycleSet(G, [(0, 1)])
+    for checked in (True, False):
+        with pytest.raises(GraphError, match="2-cycles are not allowed here"):
+            half_arbitrary_pipeline(G, O, 2, checked=checked)
+        with pytest.raises(GraphError, match="2-cycles are not allowed here"):
+            orient_even_indegree(G, O, 2, checked=checked, arbitrary=True)
+
+
+def test_checked_pipelines_never_compute_exact_connectivity(monkeypatch):
+    def exact_connectivity_called(*args, **kwargs):
+        raise RuntimeError("exact vertex connectivity was computed")
+
+    monkeypatch.setattr(networkx, "node_connectivity", exact_connectivity_called)
+    with pytest.raises(RuntimeError):
+        vertex_connectivity(petersen())  # the guard is live
+
+    rep = third_pipeline(petersen(), petersen_cycles(petersen()), 0, 1)
+    assert 0 in rep.factor.edge_ids
+    G4 = random_regular_multigraph(10, 4, seed=2)
+    O4 = pack_cycles(G4, parity="odd")
+    assert verify_intersections(half_pipeline(G4, O4, 2).factor, O4, "hit-and-cohit")
+    G3 = random_regular_multigraph(12, 3, seed=5, min_connectivity=3)
+    O3 = pack_cycles(G3, parity=None)
+    rep = third_arbitrary_pipeline(G3, O3, 1)
+    assert verify_intersections(rep.factor, O3, "hit-matching")
