@@ -9,6 +9,7 @@ output is deterministic; randomized generation is driven entirely by --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from typing import Optional
@@ -72,7 +73,10 @@ def _budget(args) -> Optional[SearchBudget]:
     return SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a build takes over ten times as
+    long as a parse, and parse_args leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="cyclehit",
         description="t-factors of regular multigraphs meeting prescribed cycle sets",

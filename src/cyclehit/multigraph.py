@@ -22,6 +22,7 @@ __all__ = [
     "vertex_connectivity",
     "is_k_connected",
     "two_edge_cut_sides",
+    "bridge_sides",
 ]
 
 # Seed of the random cycle-space edge labels.  The labels only choose what
@@ -297,6 +298,42 @@ def _is_biconnected(G: Multigraph, removed: int = -1) -> bool:
         if low[v] < low[p]:
             low[p] = low[v]
     return root_children == 1
+
+
+def bridge_sides(G: Multigraph) -> list[tuple[int, int, int]]:
+    """Bridges of the simple graph underlying G, as (p, v, size): removing
+    every p-v edge separates the depth-first subtree of v, which has size
+    vertices, from the rest of its component.
+
+    One iterative low-point search per component (Hopcroft and Tarjan, CACM
+    1973); v's low-point ignores every edge from v to its parent, so
+    parallel copies count once.
+    """
+    edges, incident = G.edges, G._incident
+    pre = [-1] * G.n
+    low = [0] * G.n
+    size = [1] * G.n
+    sides = []
+    for root in range(G.n):
+        if pre[root] >= 0:
+            continue
+        order, parent_edge = _dfs_tree(G, root, pre)
+        for v in order:
+            low[v] = pre[v]
+        for v in reversed(order[1:]):
+            a, b = edges[parent_edge[v]]
+            p = b if a == v else a
+            for eid in incident[v]:
+                a, b = edges[eid]
+                w = b if a == v else a
+                if w != p and pre[w] < low[v]:
+                    low[v] = pre[w]
+            if low[v] > pre[p]:
+                sides.append((p, v, size[v]))
+            if low[v] < low[p]:
+                low[p] = low[v]
+            size[p] += size[v]
+    return sides
 
 
 def _may_face_component(G: Multigraph, v: int, mask: int, u: int) -> bool:

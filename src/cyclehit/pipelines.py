@@ -48,10 +48,6 @@ class PipelineReport:
     checks: dict[str, bool] = field(default_factory=dict)
     orientation: Optional[Orientation] = None
 
-    def summary(self, mode: str) -> str:
-        nodes = sum(self.solver_stats.values())
-        return f"ok t={self.factor.t} hits={mode} nodes={nodes}"
-
 
 def _require(condition: bool, message: str):
     if not condition:
@@ -139,6 +135,18 @@ def orient_even_indegree(
     G must be 3-connected, and the matching is found by 2-cut recursion;
     2-cycles are rejected even when checked=False.
     """
+    return _orient(G, O, t, budget, checked, arbitrary)[0]
+
+
+def _orient(
+    G: Multigraph,
+    O: CycleSet,
+    t: int,
+    budget: Optional[SearchBudget],
+    checked: bool,
+    arbitrary: bool,
+) -> tuple[Orientation, int]:
+    """orient_even_indegree, plus the node count of its matching search."""
     _require(t >= 2 and t % 2 == 0, "t must be an even integer >= 2")
     if arbitrary:
         _reject_2_cycles(O)
@@ -170,7 +178,7 @@ def orient_even_indegree(
     )
     if not verify_orientation(G, flipped, O):
         raise AssertionError("orientation postcondition failed")
-    return flipped
+    return flipped, verdict.nodes_explored
 
 
 def half_pipeline(
@@ -183,9 +191,7 @@ def half_pipeline(
 ) -> PipelineReport:
     """t-factor (t even) sharing at least one edge with every prescribed
     cycle and leaving at least one edge of each uncovered."""
-    D = orient_even_indegree(
-        G, O, t, budget=budget, checked=checked, arbitrary=arbitrary
-    )
+    D, nodes = _orient(G, O, t, budget, checked, arbitrary)
     xmap, _pairing = split_expansion(G, D, O)
     matching = bipartite_alternating_matching(xmap.expanded)
     F = project_factor(xmap, matching, t)
@@ -198,7 +204,7 @@ def half_pipeline(
     return PipelineReport(
         factor=F,
         expansion_stats={"split_vertices": xmap.expanded.n},
-        solver_stats={},
+        solver_stats={"matching_nodes": nodes},
         checks=checks,
         orientation=D,
     )

@@ -4,18 +4,24 @@ recursion, and the alternating matching of 2-regular bipartite graphs.
 
 All searches branch on the lowest undecided edge id, include-branch first,
 and propagate forced decisions (degree bounds and per-cycle feasibility), so
-verdicts and witnesses are deterministic.
+verdicts and witnesses are deterministic.  A search for one solution also
+uses two more sound rules: parallel edges off the prescribed cycles are
+interchangeable, and every edge cut around a vertex pair joined by parallel
+edges, or across a bridge of the simple graph underneath, meets a factor
+with the parity Tutte's f-factor theorem fixes.  Neither changes a verdict
+or a witness; they only shrink the search.
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .cycles import CycleSet
 from .factors import MODES, Factor, verify_factor, verify_intersections
-from .multigraph import GraphError, Multigraph, two_edge_cut_sides
+from .multigraph import GraphError, Multigraph, bridge_sides, two_edge_cut_sides
 
 __all__ = [
     "SAT",
@@ -95,6 +101,22 @@ class _DegreeSearch:
 
     Constraints: every vertex ends with exactly `t` included edges; each
     prescribed cycle satisfies the requested intersection mode.
+
+    search() also prunes with two rules, built before it starts:
+
+    - parallel-class symmetry: the parallel edges joining two vertices that
+      lie on no prescribed cycle and are not forced are interchangeable, so
+      the IN edges of each class come first in edge-id order;
+    - cut parity (Tutte, Canad. J. Math. 1952): |F & cut(S)| = t|S| (mod 2)
+      for every vertex set S.  The sets are each vertex pair joined by two or
+      more parallel edges, and one side of each bridge of the simple graph
+      underneath.
+
+    The first solution in search order (lexicographic over edge ids, IN
+    before OUT), which search() returns, has its IN edges first in every
+    class, and every solution meets the parity rule, so neither rule changes
+    a witness or a verdict.  enumerate() lists every solution and uses
+    neither.
     """
 
     def __init__(
@@ -105,10 +127,13 @@ class _DegreeSearch:
         mode: str,
         clock: _Clock,
     ):
+        if mode == "none":
+            cycles = ()  # no cycle constrains anything
         self.G = G
         self.m = G.m
         self.t = t
-        self.mode = mode
+        self.matching = mode == "hit-matching"
+        self.cohit = mode == "hit-and-cohit"
         self.clock = clock
         self.state = bytearray(self.m)
         self.deg_in = [0] * G.n
@@ -125,6 +150,50 @@ class _DegreeSearch:
         self.cyc_in = [0] * len(cycles)
         self.cyc_out = [0] * len(cycles)
         self.cyc_und = [len(c) for c in cycles]
+        # Pruning rules, inert until _build_pruning.
+        self.next_sib = [-1] * self.m
+        self.prev_sib = [-1] * self.m
+        self.edge_sets: list[tuple[int, ...]] = [()] * self.m
+        self.set_cut: list[tuple[int, ...]] = []
+        self.set_und: list[int] = []
+        self.set_odd: list[int] = []  # parity the undecided cut edges still owe
+        self.roots: list[tuple[int, int]] = []  # decisions of one-edge cuts
+
+    def _build_pruning(self, forced: tuple[int, ...]):
+        """Fill in both rules on an all-undecided state.  Forced edges stay
+        out of the classes: a forced copy cannot trade places with its
+        siblings, so "IN edges first" would wrongly pull the earlier ones in."""
+        G, m = self.G, self.m
+        pairs: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for e, (u, v) in enumerate(G.edges):
+            pairs[(u, v) if u < v else (v, u)].append(e)
+        free = [c < 0 for c in self.edge_cycle]
+        for e in forced:
+            free[e] = False
+        sets: list[tuple[tuple[int, ...], int]] = []
+        for (u, v), ids in pairs.items():
+            if len(ids) < 2:
+                continue
+            siblings = [e for e in ids if free[e]]
+            for a, b in zip(siblings, siblings[1:]):
+                self.next_sib[a] = b
+                self.prev_sib[b] = a
+            inner = set(ids)
+            cut = tuple(f for f in G._incident[u] + G._incident[v] if f not in inner)
+            if cut:
+                sets.append((cut, 0))
+        for p, v, size in bridge_sides(G):
+            sets.append((tuple(pairs[(p, v) if p < v else (v, p)]), self.t * size % 2))
+        edge_sets: list[list[int]] = [[] for _ in range(m)]
+        for i, (cut, odd) in enumerate(sets):
+            for f in cut:
+                edge_sets[f].append(i)
+            if len(cut) == 1:
+                self.roots.append((cut[0], _IN if odd else _OUT))
+        self.edge_sets = [tuple(ids) for ids in edge_sets]
+        self.set_cut = [cut for cut, _ in sets]
+        self.set_und = [len(cut) for cut in self.set_cut]
+        self.set_odd = [odd for _, odd in sets]
 
     def _undecided_cycle_edge(self, ci: int) -> int:
         for e in self.cycles[ci]:
@@ -134,132 +203,166 @@ class _DegreeSearch:
 
     def assign(self, e0: int, val0: int) -> bool:
         """Set an edge and propagate all consequences; False on conflict."""
+        state, trail, t = self.state, self.trail, self.t
+        edges, incident = self.G.edges, self.G._incident
+        deg_in, deg_und = self.deg_in, self.deg_und
+        edge_cycle, cyc_in, cyc_out, cyc_und = (
+            self.edge_cycle, self.cyc_in, self.cyc_out, self.cyc_und
+        )
+        next_sib, prev_sib = self.next_sib, self.prev_sib
+        edge_sets, set_cut, set_und, set_odd = (
+            self.edge_sets, self.set_cut, self.set_und, self.set_odd
+        )
         pending = [(e0, val0)]
         while pending:
             e, val = pending.pop()
-            s = self.state[e]
+            s = state[e]
             if s != _UNDEC:
                 if s != val:
                     return False
                 continue
-            self.state[e] = val
-            self.trail.append(e)
+            state[e] = val
+            trail.append(e)
             # All counters must be updated before any conflict return, or
             # undo_to would rewind increments that never happened.
-            ci = self.edge_cycle[e]
-            for w in self.G.endpoints(e):
-                self.deg_und[w] -= 1
+            u, v = edges[e]
+            deg_und[u] -= 1
+            deg_und[v] -= 1
+            ci = edge_cycle[e]
+            if val == _IN:
+                deg_in[u] += 1
+                deg_in[v] += 1
+                if ci >= 0:
+                    cyc_in[ci] += 1
+            elif ci >= 0:
+                cyc_out[ci] += 1
+            if ci >= 0:
+                cyc_und[ci] -= 1
+            for p in edge_sets[e]:
+                set_und[p] -= 1
                 if val == _IN:
-                    self.deg_in[w] += 1
-            if ci >= 0 and self.mode != "none":
-                self.cyc_und[ci] -= 1
-                if val == _IN:
-                    self.cyc_in[ci] += 1
-                else:
-                    self.cyc_out[ci] += 1
-            for w in self.G.endpoints(e):
-                if self.deg_in[w] > self.t:
+                    set_odd[p] ^= 1
+            for w in (u, v):
+                d_in, d_und = deg_in[w], deg_und[w]
+                if d_in > t or d_in + d_und < t:
                     return False
-                if self.deg_in[w] + self.deg_und[w] < self.t:
+                if d_und:
+                    if d_in == t:
+                        implied = _OUT
+                    elif d_in + d_und == t:
+                        implied = _IN
+                    else:
+                        continue
+                    for f in incident[w]:
+                        if state[f] == _UNDEC:
+                            pending.append((f, implied))
+            sib = next_sib[e] if val == _OUT else prev_sib[e]
+            if sib >= 0:
+                pending.append((sib, val))
+            for p in edge_sets[e]:
+                left = set_und[p]
+                if left == 1:
+                    for f in set_cut[p]:
+                        if state[f] == _UNDEC:
+                            pending.append((f, _IN if set_odd[p] else _OUT))
+                            break
+                elif left == 0 and set_odd[p]:
                     return False
-                if self.deg_und[w] > 0:
-                    if self.deg_in[w] == self.t:
-                        for f in self.G.incident(w):
-                            if self.state[f] == _UNDEC:
-                                pending.append((f, _OUT))
-                    elif self.deg_in[w] + self.deg_und[w] == self.t:
-                        for f in self.G.incident(w):
-                            if self.state[f] == _UNDEC:
-                                pending.append((f, _IN))
-            if ci < 0 or self.mode == "none":
+            if ci < 0:
                 continue
-            if val == _IN and self.mode == "hit-matching":
+            if val == _IN and self.matching:
                 for f in self.nbrs[e]:
-                    if self.state[f] == _IN:
+                    if state[f] == _IN:
                         return False
-                    if self.state[f] == _UNDEC:
+                    if state[f] == _UNDEC:
                         pending.append((f, _OUT))
-            if self.cyc_in[ci] == 0:
-                if self.cyc_und[ci] == 0:
+            if cyc_in[ci] == 0:
+                if cyc_und[ci] == 0:
                     return False
-                if self.cyc_und[ci] == 1:
+                if cyc_und[ci] == 1:
                     pending.append((self._undecided_cycle_edge(ci), _IN))
-            if self.mode == "hit-and-cohit" and self.cyc_out[ci] == 0:
-                if self.cyc_und[ci] == 0:
+            if self.cohit and cyc_out[ci] == 0:
+                if cyc_und[ci] == 0:
                     return False
-                if self.cyc_und[ci] == 1:
+                if cyc_und[ci] == 1:
                     pending.append((self._undecided_cycle_edge(ci), _OUT))
         return True
 
     def undo_to(self, mark: int):
-        while len(self.trail) > mark:
-            e = self.trail.pop()
-            val = self.state[e]
-            self.state[e] = _UNDEC
-            for w in self.G.endpoints(e):
-                self.deg_und[w] += 1
-                if val == _IN:
-                    self.deg_in[w] -= 1
-            ci = self.edge_cycle[e]
-            if ci >= 0 and self.mode != "none":
-                self.cyc_und[ci] += 1
-                if val == _IN:
-                    self.cyc_in[ci] -= 1
-                else:
-                    self.cyc_out[ci] -= 1
-
-    def infeasible_upfront(self) -> bool:
-        return (
-            any(d < self.t for d in self.deg_und)
-            or (self.G.n * self.t) % 2 == 1
+        state, trail = self.state, self.trail
+        edges, deg_in, deg_und = self.G.edges, self.deg_in, self.deg_und
+        edge_cycle, cyc_in, cyc_out, cyc_und = (
+            self.edge_cycle, self.cyc_in, self.cyc_out, self.cyc_und
         )
+        edge_sets, set_und, set_odd = self.edge_sets, self.set_und, self.set_odd
+        for _ in range(len(trail) - mark):
+            e = trail.pop()
+            val = state[e]
+            state[e] = _UNDEC
+            u, v = edges[e]
+            deg_und[u] += 1
+            deg_und[v] += 1
+            ci = edge_cycle[e]
+            if val == _IN:
+                deg_in[u] -= 1
+                deg_in[v] -= 1
+                if ci >= 0:
+                    cyc_in[ci] -= 1
+            elif ci >= 0:
+                cyc_out[ci] -= 1
+            if ci >= 0:
+                cyc_und[ci] += 1
+            for p in edge_sets[e]:
+                set_und[p] += 1
+                if val == _IN:
+                    set_odd[p] ^= 1
 
     def witness(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.m) if self.state[e] == _IN)
 
     def search(self, forced_in: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
-        if self.infeasible_upfront():
-            return None
-        for e in forced_in:
-            if not self.assign(e, _IN):
-                return None
-        return self.witness() if self._dfs(0) else None
+        """The first solution in search order with every forced edge IN, or
+        None once the space is exhausted."""
+        forced = tuple(forced_in)
+        self._build_pruning(forced)
+        return next(self._solutions(forced), None)
 
-    def _dfs(self, lo: int) -> bool:
-        e = lo
-        while e < self.m and self.state[e] != _UNDEC:
-            e += 1
-        if e == self.m:
-            return True
-        self.clock.tick()
-        for val in (_IN, _OUT):
-            mark = len(self.trail)
-            if self.assign(e, val) and self._dfs(e + 1):
-                return True
-            self.undo_to(mark)
-        return False
+    def enumerate(self) -> Iterator[tuple[int, ...]]:
+        return self._solutions(())
 
-    def enumerate(self, forced_in: Iterable[int] = ()) -> Iterator[tuple[int, ...]]:
-        if self.infeasible_upfront():
+    def _solutions(self, forced: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """Every solution, in lexicographic search order: branch on the
+        lowest undecided edge, IN first.  Iterative, so the depth of the
+        search does not touch the interpreter stack."""
+        t = self.t
+        if any(d < t for d in self.deg_und) or (self.G.n * t) % 2 == 1:
             return
-        for e in forced_in:
-            if not self.assign(e, _IN):
+        for e, val in self.roots + [(e, _IN) for e in forced]:
+            if not self.assign(e, val):
                 return
-        yield from self._dfs_all(0)
-
-    def _dfs_all(self, lo: int) -> Iterator[tuple[int, ...]]:
-        e = lo
-        while e < self.m and self.state[e] != _UNDEC:
-            e += 1
-        if e == self.m:
-            yield self.witness()
-            return
-        self.clock.tick()
-        for val in (_IN, _OUT):
-            mark = len(self.trail)
-            if self.assign(e, val):
-                yield from self._dfs_all(e + 1)
-            self.undo_to(mark)
+        state, trail, m = self.state, self.trail, self.m
+        assign, undo_to, tick = self.assign, self.undo_to, self.clock.tick
+        open_in: list[tuple[int, int]] = []  # (edge, trail mark) on the IN branch
+        e = 0
+        while True:
+            while e < m and state[e] != _UNDEC:
+                e += 1
+            if e == m:
+                yield self.witness()
+            else:
+                tick()
+                open_in.append((e, len(trail)))
+                if assign(e, _IN):
+                    e += 1
+                    continue
+            while open_in:
+                e, mark = open_in.pop()
+                undo_to(mark)
+                if assign(e, _OUT):
+                    e += 1
+                    break
+            else:
+                return
 
 
 def _check_witness(G: Multigraph, ids: tuple[int, ...], t: int, O: Optional[CycleSet], mode: str) -> Factor:

@@ -55,15 +55,24 @@ def circulant(n: int, steps: tuple[int, ...]) -> Multigraph:
 
 # ------------------------------------------------- naive subset oracle
 
-def naive_subset_verdict(
-    G: Multigraph, t: int, O: CycleSet | None, mode: str
-) -> bool:
-    """SAT/UNSAT for t-factors meeting a cycle set, by scanning all 2^m
-    edge subsets with numpy.  Only for m <= 16."""
+def naive_factors(
+    G: Multigraph,
+    t: int,
+    O: CycleSet | None,
+    mode: str,
+    forced_edge: int | None = None,
+) -> list[tuple[int, ...]]:
+    """Every t-factor meeting the cycle set in the given mode (and holding
+    forced_edge), as sorted edge-id tuples in the search engine's order:
+    lexicographic over edge ids with IN before OUT, so the first is the
+    witness the engine must return.  Scans all 2^m edge subsets with numpy;
+    only for m <= 16."""
     m = G.m
     assert m <= 16, "naive oracle is limited to m <= 16"
     subsets = np.arange(1 << m, dtype=np.uint32)
-    bits = (subsets[:, None] >> np.arange(m, dtype=np.uint32)) & 1  # (2^m, m)
+    # Edge e is bit m-1-e, so a larger subset number is earlier in that order.
+    shifts = np.array([m - 1 - e for e in range(m)], dtype=np.uint32)
+    bits = (subsets[:, None] >> shifts) & 1  # (2^m, m)
     inc = np.zeros((G.n, m), dtype=np.uint8)
     for e, (u, v) in enumerate(G.edges):
         inc[u, e] = 1
@@ -82,7 +91,19 @@ def naive_subset_verdict(
                     fu, fv = G.endpoints(f)
                     if eu in (fu, fv) or ev in (fu, fv):
                         ok &= ~((bits[:, e] == 1) & (bits[:, f] == 1))
-    return bool(ok.any())
+    if forced_edge is not None:
+        ok &= bits[:, forced_edge] == 1
+    return [
+        tuple(int(e) for e in np.flatnonzero(bits[s]))
+        for s in np.flatnonzero(ok)[::-1]
+    ]
+
+
+def naive_subset_verdict(
+    G: Multigraph, t: int, O: CycleSet | None, mode: str
+) -> bool:
+    """SAT/UNSAT for t-factors meeting a cycle set, by naive_factors."""
+    return bool(naive_factors(G, t, O, mode))
 
 
 # ------------------------------------------------- matching enumeration

@@ -103,6 +103,10 @@ def test_criterion_3_unhittable_families(capsys):
     i42 = gen_thm4(4, 2)
     assert t_factor_oracle(i42.graph, 2, i42.cycles, "hit").status == UNSAT
     assert time.monotonic() - t0 < 600.0
+    for r in (5, 6):
+        for t in range(2, r - 1):
+            inst = gen_thm4(r, t)
+            assert t_factor_oracle(inst.graph, t, inst.cycles, "hit").status == UNSAT, (r, t)
     for r in (3, 4, 5):
         t1 = time.monotonic()
         inst = gen_thm4(r, 1)
@@ -119,7 +123,8 @@ def test_criterion_3_unhittable_families(capsys):
         triangle_edges = set(inst.cycles.cycles[0])
         assert all(not (set(M) & triangle_edges) for M in matchings)
     elapsed = time.monotonic() - t0
-    report(capsys, f"criterion 3: PASS (case1 UNSAT, wheels r=3,4,5 UNSAT + unique support, {elapsed:.2f}s)")
+    report(capsys, f"criterion 3: PASS (case1 UNSAT, r=5,6 UNSAT at t=2..r-2, "
+                   f"wheels r=3,4,5 UNSAT + unique support, {elapsed:.2f}s)")
 
 
 def test_criterion_4_half_ratio_family(capsys):
@@ -131,9 +136,17 @@ def test_criterion_4_half_ratio_family(capsys):
     i3 = gen_sec6_2k(3)
     assert t_factor_oracle(i3.graph, 1, i3.cycles, "hit").status == UNSAT
     assert t_factor_oracle(i3.graph, 2, i3.cycles, "hit").status == UNSAT
+    for k in (4, 5):
+        inst = gen_sec6_2k(k)
+        for t in range(1, k):
+            assert t_factor_oracle(inst.graph, t, inst.cycles, "hit").status == UNSAT, (k, t)
+        v = t_factor_oracle(inst.graph, k, inst.cycles, "hit")
+        assert v.status == SAT, k
+        assert verify_intersections(v.witness, inst.cycles, "hit")
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
-    report(capsys, f"criterion 4: PASS (k=2: UNSAT@1 SAT@2; k=3: UNSAT@1,2; {elapsed:.2f}s < 60s)")
+    report(capsys, f"criterion 4: PASS (k=2: UNSAT@1 SAT@2; k=3: UNSAT@1,2; "
+                   f"k=4,5: UNSAT@t<k SAT@k; {elapsed:.2f}s < 60s)")
 
 
 def test_criterion_5_orientation_lemma_batch(capsys):

@@ -185,3 +185,26 @@ def test_internal_error_exits_4(tmp_path, capsys, monkeypatch, exc):
     assert code == 4
     assert out == ""
     assert err.endswith(f"internal error: {type(exc).__name__}: {exc}\n")
+
+
+def test_main_repeats_in_one_process(tmp_path, capsys):
+    """The parser is built once per process; repeated calls must still give
+    each call's own exit code and output, with nothing left over from an
+    earlier call's arguments."""
+    from cyclehit.cli import _build_parser
+
+    g = tmp_path / "p.mg"
+    c = tmp_path / "p.cyc"
+    code, out, err = run(capsys, "gen", "--family", "petersen")
+    assert (code, out) == (2, "")
+    assert "required: --out, --cycles" in err
+    assert run(capsys, "gen", "--family", "petersen", "--out", str(g),
+               "--cycles", str(c)) == (0, "gen petersen n=10 m=15 cycles=2\n", "")
+    assert run(capsys, "check", "--graph", str(g), "--cycles", str(c)) == (
+        0, "graph n=10 m=15 regular=3 connectivity=3 cycles=2 min_len=5\n", "")
+    assert run(capsys, "check", "--graph", str(g)) == (
+        0, "graph n=10 m=15 regular=3 connectivity=3\n", "")
+    code, out, err = run(capsys, "frobnicate")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'frobnicate'" in err
+    assert _build_parser() is _build_parser()

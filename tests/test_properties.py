@@ -1,10 +1,29 @@
-"""Property tests of the structural checks against exact oracles, on random
-small multigraphs: disconnected ones, parallel edges and n <= 2 included."""
+"""Property tests of the structural checks and the exact search against
+brute-force oracles, on random small multigraphs: disconnected ones,
+parallel edges, bridges, prescribed 2-cycles and n <= 2 included."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cyclehit import GraphError, Multigraph, is_k_connected, two_edge_cut_sides, vertex_connectivity
-from conftest import naive_two_edge_cut_sides
+from cyclehit import (
+    BUDGET_EXCEEDED,
+    MODES,
+    SAT,
+    UNSAT,
+    CycleSet,
+    GraphError,
+    Multigraph,
+    SearchBudget,
+    constrained_perfect_matching,
+    enumerate_t_factors,
+    is_k_connected,
+    pack_cycles,
+    t_factor_oracle,
+    two_edge_cut_sides,
+    vertex_connectivity,
+)
+from cyclehit.multigraph import bridge_sides
+from cyclehit.solver import _Clock, _DegreeSearch
+from conftest import naive_factors, naive_two_edge_cut_sides
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -53,3 +72,140 @@ def test_is_k_connected_matches_exact_connectivity(G):
 @given(multigraphs())
 def test_two_edge_cut_sides_matches_all_pairs_oracle(G):
     assert _outcome(two_edge_cut_sides, G) == _outcome(naive_two_edge_cut_sides, G)
+
+
+@PROPERTY
+@given(multigraphs())
+def test_bridge_sides_match_edge_class_removal(G):
+    """The search's parity sets rest on these: a pair of vertices is
+    reported iff removing all of its parallel edges splits a component, with
+    the size of the side cut off."""
+    base = len(G.components())
+    classes: dict[tuple[int, int], list[int]] = {}
+    for e, (u, v) in enumerate(G.edges):
+        classes.setdefault((min(u, v), max(u, v)), []).append(e)
+    want = {}
+    for pair, ids in classes.items():
+        comps = G.components(excluded_edges=ids)
+        if len(comps) > base:
+            want[pair] = {len(c) for c in comps if pair[0] in c or pair[1] in c}
+    got = {(min(p, v), max(p, v)): size for p, v, size in bridge_sides(G)}
+    assert got.keys() == want.keys()
+    for pair, size in got.items():
+        assert size in want[pair]
+
+
+def _shuffled(draw, n: int, edges: list, cycles: list) -> tuple[Multigraph, CycleSet]:
+    order = draw(st.permutations(range(len(edges))))
+    new_id = {old: new for new, old in enumerate(order)}
+    G = Multigraph(n, [edges[old] for old in order])
+    return G, CycleSet(G, [tuple(new_id[e] for e in cyc) for cyc in cycles])
+
+
+@st.composite
+def factor_instances(draw, max_m: int = 12):
+    """A multigraph with prescribed cycles: up to two cycles of length 2 to
+    4 laid on distinct vertices, a pendant pair hung on one vertex by one or
+    two parallel edges (a bridge of the simple graph underneath), then
+    random edges with up to three parallel copies, truncated to max_m
+    edges, and edge ids shuffled."""
+    n = draw(st.integers(2, 6))
+    edges, cycles = [], []
+    for k in draw(st.lists(st.integers(2, min(n, 4)), max_size=2)):
+        vs = draw(st.permutations(range(n)))[:k]
+        cycles.append(tuple(range(len(edges), len(edges) + k)))
+        edges += [(vs[i], vs[(i + 1) % k]) for i in range(k)]
+    if draw(st.booleans()):
+        host = draw(st.integers(0, n - 1))
+        edges += [(host, n)] * draw(st.integers(1, 2)) + [(n, n + 1)] * draw(st.integers(1, 3))
+        n += 2
+    for u, step, copies in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(1, 3)), max_size=6,
+    )):
+        edges += [(u, (u + step) % n)] * copies
+    return _shuffled(draw, n, edges[:max_m], cycles)
+
+
+@st.composite
+def cubic_instances(draw):
+    """A loopless cubic multigraph on up to 8 vertices from the pairing
+    model, with a drawn subset of its greedy cycle packing and of the
+    2-cycles on its remaining parallel pairs prescribed."""
+    n = draw(st.sampled_from([2, 4, 6, 8]))
+    points = list(draw(st.permutations([v for v in range(n) for _ in range(3)])))
+    edges = []
+    while points:
+        u = points.pop()
+        j = next((i for i, w in enumerate(points) if w != u), None)
+        assume(j is not None)
+        edges.append((u, points.pop(j)))
+    G = Multigraph(n, edges)
+    candidates = list(pack_cycles(G, parity=None, max_len=n).cycles)
+    used = {e for cyc in candidates for e in cyc}
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for e, (u, v) in enumerate(edges):
+        if e not in used:
+            pairs.setdefault((min(u, v), max(u, v)), []).append(e)
+    candidates += [tuple(ids[:2]) for ids in pairs.values() if len(ids) >= 2]
+    cycles = [cyc for cyc in candidates if draw(st.booleans())]
+    return _shuffled(draw, n, edges, cycles)
+
+
+def _verdict(v):
+    return v.status, (v.witness.edge_ids if v.witness is not None else None)
+
+
+def _lex_first(factors):
+    return (SAT, factors[0]) if factors else (UNSAT, None)
+
+
+@PROPERTY
+@given(factor_instances())
+def test_search_matches_lex_first_oracle(instance):
+    """Status and witness of the oracle, and the full list enumerated, equal
+    the brute-force list in search order, in every mode and t <= 3."""
+    G, O = instance
+    for t in range(4):
+        for mode in MODES:
+            want = naive_factors(G, t, O, mode)
+            assert _verdict(t_factor_oracle(G, t, O, mode)) == _lex_first(want), (t, mode)
+            assert list(enumerate_t_factors(G, t, O, mode)) == want, (t, mode)
+
+
+@PROPERTY
+@given(factor_instances())
+def test_pruning_never_costs_nodes(instance):
+    """The oracle's pruned search branches at most as often as the unpruned
+    search enumerate() runs, up to its first solution, so a node budget the
+    unpruned search fits in never turns into BUDGET_EXCEEDED."""
+    G, O = instance
+    for t in range(4):
+        for mode in MODES:
+            clock = _Clock(None)
+            next(_DegreeSearch(G, t, tuple(O.cycles), mode, clock).enumerate(), None)
+            budget = SearchBudget(max_nodes=max(clock.nodes, 1))
+            v = t_factor_oracle(G, t, O, mode, budget=budget)
+            assert v.status != BUDGET_EXCEEDED, (t, mode)
+            assert v.nodes_explored <= clock.nodes, (t, mode)
+
+
+@PROPERTY
+@given(cubic_instances(), st.data())
+def test_constrained_matching_matches_lex_first_oracle(instance, data):
+    G, O = instance
+    forced = data.draw(st.integers(0, G.m - 1))
+    for edge in (None, forced):
+        want = naive_factors(G, 1, O, "hit", forced_edge=edge)
+        got = constrained_perfect_matching(G, O, forced_edge=edge)
+        assert _verdict(got) == _lex_first(want), edge
+
+
+def test_forced_parallel_edge_keeps_its_witness():
+    """Edges 6 and 7 are parallel (1-2).  Forcing the later copy must take it
+    out of its class: read as "the earlier copy comes first", the forced
+    edge would pull edge 6 in too and the search would answer UNSAT."""
+    G = Multigraph(6, [(5, 0), (3, 5), (0, 4), (5, 4), (3, 1), (2, 4), (2, 1), (1, 2), (3, 0)])
+    assert G.is_regular() == 3
+    v = constrained_perfect_matching(G, forced_edge=7)
+    assert _verdict(v) == (SAT, (1, 2, 7))
+    assert _lex_first(naive_factors(G, 1, None, "none", forced_edge=7)) == (SAT, (1, 2, 7))
