@@ -148,7 +148,8 @@ def _bipartite_perfect_matching(
 
     out_edges[v] lists (eid, head) pairs still available from tail v.
     Returns for each head vertex the matched eid, or None if no perfect
-    matching exists.
+    matching exists.  The augmenting-path search keeps an explicit stack, so
+    a long path does not touch the interpreter stack.
     """
     match_head: list[int] = [-1] * n  # head vertex -> eid
     match_tail: list[int] = [-1] * n  # tail vertex -> eid
@@ -157,22 +158,33 @@ def _bipartite_perfect_matching(
         for eid, _ in lst:
             eid_tail[eid] = v
 
-    def try_augment(v: int, visited: set[int]) -> bool:
-        for eid, head in out_edges[v]:
-            if head in visited:
-                continue
-            visited.add(head)
-            if match_head[head] == -1 or try_augment(
-                eid_tail[match_head[head]], visited
-            ):
-                match_head[head] = eid
-                match_tail[v] = eid
-                return True
+    def augment(root: int) -> bool:
+        """Depth-first search for an augmenting path from a free tail,
+        trying each tail's out-edges in list order.  A frame is a tail, its
+        out-edges not yet tried, and the (eid, head) that led to it."""
+        visited: set[int] = set()
+        stack = [(root, iter(out_edges[root]), -1, -1)]
+        while stack:
+            for eid, head in stack[-1][1]:
+                if head in visited:
+                    continue
+                visited.add(head)
+                if match_head[head] == -1:
+                    for tail, _, via, via_head in reversed(stack):
+                        match_head[head] = eid
+                        match_tail[tail] = eid
+                        eid, head = via, via_head
+                    return True
+                tail = eid_tail[match_head[head]]
+                stack.append((tail, iter(out_edges[tail]), eid, head))
+                break
+            else:
+                stack.pop()
         return False
 
     for v in range(n):
         if out_edges[v] and match_tail[v] == -1:
-            if not try_augment(v, set()):
+            if not augment(v):
                 return None
     return match_head
 

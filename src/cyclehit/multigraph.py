@@ -305,34 +305,42 @@ def bridge_sides(G: Multigraph) -> list[tuple[int, int, int]]:
     every p-v edge separates the depth-first subtree of v, which has size
     vertices, from the rest of its component.
 
-    One iterative low-point search per component (Hopcroft and Tarjan, CACM
-    1973); v's low-point ignores every edge from v to its parent, so
-    parallel copies count once.
+    One iterative depth-first search per component that takes low-points as
+    it leaves each vertex (Hopcroft and Tarjan, CACM 1973); v's low-point
+    ignores every edge from v to its parent, so parallel copies count once.
     """
     edges, incident = G.edges, G._incident
     pre = [-1] * G.n
     low = [0] * G.n
     size = [1] * G.n
     sides = []
+    count = 0
     for root in range(G.n):
         if pre[root] >= 0:
             continue
-        order, parent_edge = _dfs_tree(G, root, pre)
-        for v in order:
-            low[v] = pre[v]
-        for v in reversed(order[1:]):
-            a, b = edges[parent_edge[v]]
-            p = b if a == v else a
-            for eid in incident[v]:
+        pre[root] = low[root] = count
+        count += 1
+        stack = [(root, -1, iter(incident[root]))]
+        while stack:
+            v, p, todo = stack[-1]
+            for eid in todo:
                 a, b = edges[eid]
                 w = b if a == v else a
+                if pre[w] < 0:
+                    pre[w] = low[w] = count
+                    count += 1
+                    stack.append((w, v, iter(incident[w])))
+                    break
                 if w != p and pre[w] < low[v]:
                     low[v] = pre[w]
-            if low[v] > pre[p]:
-                sides.append((p, v, size[v]))
-            if low[v] < low[p]:
-                low[p] = low[v]
-            size[p] += size[v]
+            else:
+                stack.pop()
+                if p >= 0:
+                    if low[v] > pre[p]:
+                        sides.append((p, v, size[v]))
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    size[p] += size[v]
     return sides
 
 

@@ -8,12 +8,15 @@ verdicts and witnesses are deterministic.  A search for one solution also
 uses two more sound rules: parallel edges off the prescribed cycles are
 interchangeable, and every edge cut around a vertex pair joined by parallel
 edges, or across a bridge of the simple graph underneath, meets a factor
-with the parity Tutte's f-factor theorem fixes.  Neither changes a verdict
-or a witness; they only shrink the search.
+with the parity Tutte's f-factor theorem fixes.  It also remembers the
+residual problems it has proven to have no solution, and skips them when
+they come up again.  None of this changes a verdict or a witness; it only
+shrinks the search.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -94,6 +97,11 @@ class _Clock:
 
 
 _UNDEC, _IN, _OUT = 0, 1, 2
+# bytes.translate table: 1 for a decided edge, 0 for an undecided one.
+_DECIDED = bytes([0, 1, 1]).ljust(256, b"\0")
+# Bytes of keys one search may keep in its memo of failed residual problems;
+# once they are used up it stops recording, and goes on looking up.
+_MEMO_BYTES = 64 << 20
 
 
 class _DegreeSearch:
@@ -115,8 +123,35 @@ class _DegreeSearch:
     The first solution in search order (lexicographic over edge ids, IN
     before OUT), which search() returns, has its IN edges first in every
     class, and every solution meets the parity rule, so neither rule changes
-    a witness or a verdict.  enumerate() lists every solution and uses
-    neither.
+    a witness or a verdict.
+
+    search() also keeps a memo of failed residual problems, as component
+    caching does for #SAT (Bacchus, Dalmao and Pitassi, FOCS 2003).  When
+    the search branches on edge e, every edge below e is decided and
+    propagation has reached its fixpoint, so the rest of the search depends
+    only on its key:
+
+    - which edges are still undecided (all of them are >= e);
+    - deg_in of every vertex (a vertex with no undecided edge has exactly t);
+    - per prescribed cycle, whether it has an IN edge, and in hit-and-cohit
+      mode whether it has an OUT edge.
+
+    deg_und, cyc_und and set_und follow from the undecided edges.  set_odd
+    follows from deg_in: an IN edge inside a parity set S adds 2 to the sum
+    of deg_in over S and an IN cut edge adds 1, so the IN cut edges have the
+    parity of that sum.  Sibling and matching-neighbour constraints need no
+    entry: at the fixpoint no undecided edge has an IN cycle neighbour, an
+    OUT earlier sibling or an IN later sibling, so they only relate
+    undecided edges to each other.
+
+    A branch node whose IN and OUT sub-trees are both exhausted is recorded
+    under the key of its entry state, unless its sub-tree counted no further
+    node; a later node with a recorded key is skipped without counting a
+    node.  The memo only skips sub-trees already proven empty, so the first
+    solution and the verdict do not change, and no search counts more nodes
+    than without it.
+
+    enumerate() lists every solution and uses neither rule nor the memo.
     """
 
     def __init__(
@@ -136,7 +171,9 @@ class _DegreeSearch:
         self.cohit = mode == "hit-and-cohit"
         self.clock = clock
         self.state = bytearray(self.m)
-        self.deg_in = [0] * G.n
+        # A bytearray goes into a memo key in one copy.  It holds 255 at
+        # most, and assign() takes a degree to t + 1 at most.
+        self.deg_in = bytearray(G.n) if t < 255 else [0] * G.n
         self.deg_und = G.degrees()
         self.trail: list[int] = []
         self.cycles = cycles
@@ -164,26 +201,31 @@ class _DegreeSearch:
         out of the classes: a forced copy cannot trade places with its
         siblings, so "IN edges first" would wrongly pull the earlier ones in."""
         G, m = self.G, self.m
-        pairs: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for e, (u, v) in enumerate(G.edges):
-            pairs[(u, v) if u < v else (v, u)].append(e)
-        free = [c < 0 for c in self.edge_cycle]
-        for e in forced:
-            free[e] = False
         sets: list[tuple[tuple[int, ...], int]] = []
-        for (u, v), ids in pairs.items():
-            if len(ids) < 2:
-                continue
-            siblings = [e for e in ids if free[e]]
-            for a, b in zip(siblings, siblings[1:]):
-                self.next_sib[a] = b
-                self.prev_sib[b] = a
-            inner = set(ids)
-            cut = tuple(f for f in G._incident[u] + G._incident[v] if f not in inner)
-            if cut:
-                sets.append((cut, 0))
+        ends = [(u, v) if u < v else (v, u) for u, v in G.edges]
+        if len(set(ends)) < m:  # some endpoint pair repeats
+            pairs: dict[tuple[int, int], list[int]] = defaultdict(list)
+            for e, pair in enumerate(ends):
+                pairs[pair].append(e)
+            free = [c < 0 for c in self.edge_cycle]
+            for e in forced:
+                free[e] = False
+            for (u, v), ids in pairs.items():
+                if len(ids) < 2:
+                    continue
+                siblings = [e for e in ids if free[e]]
+                for a, b in zip(siblings, siblings[1:]):
+                    self.next_sib[a] = b
+                    self.prev_sib[b] = a
+                inner = set(ids)
+                cut = tuple(f for f in G._incident[u] + G._incident[v] if f not in inner)
+                if cut:
+                    sets.append((cut, 0))
         for p, v, size in bridge_sides(G):
-            sets.append((tuple(pairs[(p, v) if p < v else (v, p)]), self.t * size % 2))
+            cut = tuple(f for f in G._incident[v] if p in G.edges[f])
+            sets.append((cut, self.t * size % 2))
+        if not sets:
+            return
         edge_sets: list[list[int]] = [[] for _ in range(m)]
         for i, (cut, odd) in enumerate(sets):
             for f in cut:
@@ -325,24 +367,46 @@ class _DegreeSearch:
         None once the space is exhausted."""
         forced = tuple(forced_in)
         self._build_pruning(forced)
-        return next(self._solutions(forced), None)
+        # Keys hold the degrees only while they fit in a byte.
+        room = _MEMO_BYTES if isinstance(self.deg_in, bytearray) else 0
+        return next(self._solutions(forced, room), None)
 
     def enumerate(self) -> Iterator[tuple[int, ...]]:
-        return self._solutions(())
+        return self._solutions((), 0)
 
-    def _solutions(self, forced: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def _solutions(self, forced: tuple[int, ...], room: int) -> Iterator[tuple[int, ...]]:
         """Every solution, in lexicographic search order: branch on the
         lowest undecided edge, IN first.  Iterative, so the depth of the
-        search does not touch the interpreter stack."""
+        search does not touch the interpreter stack.  Exhausted branch
+        nodes go into the memo while their keys fit in `room` bytes; a
+        caller that takes more than the first solution must pass 0, since
+        a node is recorded whenever its sub-trees are done."""
         t = self.t
         if any(d < t for d in self.deg_und) or (self.G.n * t) % 2 == 1:
             return
         for e, val in self.roots + [(e, _IN) for e in forced]:
             if not self.assign(e, val):
                 return
-        state, trail, m = self.state, self.trail, self.m
-        assign, undo_to, tick = self.assign, self.undo_to, self.clock.tick
-        open_in: list[tuple[int, int]] = []  # (edge, trail mark) on the IN branch
+        state, trail, m, clock = self.state, self.trail, self.m, self.clock
+        assign, undo_to, tick = self.assign, self.undo_to, clock.tick
+        deg_in, cyc_in, cyc_out, cohit = self.deg_in, self.cyc_in, self.cyc_out, self.cohit
+
+        def key(e: int) -> bytes:
+            """The residual problem of a branch on e, packed (see the class
+            docstring).  Its length fixes e, since the other parts have
+            fixed lengths."""
+            return b"".join((
+                state[e:].translate(_DECIDED),
+                deg_in,
+                bytes(map(bool, cyc_in)),
+                bytes(map(bool, cyc_out)) if cohit else b"",
+            ))
+
+        memo: set[bytes] = set()
+        recorded = bytearray(m)  # 1 where a memo key branches on that edge
+        # (edge, trail mark, node count after its tick, entry key or None,
+        # on its OUT branch)
+        open_nodes: list[tuple[int, int, int, Optional[bytes], bool]] = []
         e = 0
         while True:
             while e < m and state[e] != _UNDEC:
@@ -350,17 +414,32 @@ class _DegreeSearch:
             if e == m:
                 yield self.witness()
             else:
-                tick()
-                open_in.append((e, len(trail)))
-                if assign(e, _IN):
-                    e += 1
-                    continue
-            while open_in:
-                e, mark = open_in.pop()
-                undo_to(mark)
-                if assign(e, _OUT):
-                    e += 1
-                    break
+                # Keys are only built on edges with one recorded; None is
+                # never in the memo.
+                entry = key(e) if recorded[e] else None
+                if entry not in memo:
+                    tick()
+                    open_nodes.append((e, len(trail), clock.nodes, entry, False))
+                    if assign(e, _IN):
+                        e += 1
+                        continue
+            while open_nodes:
+                e, mark, seen, entry, on_out = open_nodes.pop()
+                if not on_out:
+                    undo_to(mark)
+                    if assign(e, _OUT):
+                        open_nodes.append((e, mark, seen, entry, True))
+                        e += 1
+                        break
+                # Exhausted.  The next node's undo_to clears its trail too,
+                # unless its entry state is needed for its key.
+                if room > 0 and clock.nodes > seen:
+                    if entry is None:
+                        undo_to(mark)
+                        entry = key(e)
+                    memo.add(entry)
+                    recorded[e] = 1
+                    room -= sys.getsizeof(entry)
             else:
                 return
 

@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the library's search engine so that
 agreement between the two is meaningful: subset enumeration runs on numpy
-bit matrices, matchings are enumerated by a plain recursive matcher,
-connectivity is checked by removing every vertex subset, and 2-edge-cuts by
-removing every edge pair.
+bit matrices, matchings are enumerated by a plain recursive matcher, Kuhn's
+bipartite matching keeps its recursive form, connectivity is checked by
+removing every vertex subset, and 2-edge-cuts by removing every edge pair.
 """
 
 from __future__ import annotations
@@ -161,6 +161,34 @@ def enumerate_internal_covering_matchings(tree: Multigraph):
 
     rec(0, [])
     return results
+
+
+# ------------------------------------------------- bipartite matching oracle
+
+def recursive_bipartite_perfect_matching(n: int, out_edges):
+    """factors._bipartite_perfect_matching in its recursive form (Kuhn's
+    try_augment), with the same input and output; its depth grows with the
+    longest augmenting path."""
+    match_head = [-1] * n
+    match_tail = [-1] * n
+    eid_tail = {eid: v for v, lst in enumerate(out_edges) for eid, _ in lst}
+
+    def try_augment(v: int, visited: set[int]) -> bool:
+        for eid, head in out_edges[v]:
+            if head in visited:
+                continue
+            visited.add(head)
+            if match_head[head] == -1 or try_augment(eid_tail[match_head[head]], visited):
+                match_head[head] = eid
+                match_tail[v] = eid
+                return True
+        return False
+
+    for v in range(n):
+        if out_edges[v] and match_tail[v] == -1:
+            if not try_augment(v, set()):
+                return None
+    return match_head
 
 
 # ------------------------------------------------- connectivity oracle

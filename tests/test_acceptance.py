@@ -83,7 +83,8 @@ def test_criterion_1_petersen_all_edges(tmp_path, capsys):
 
 
 def test_criterion_2_threshold_thm5(capsys):
-    """Hitting threshold t >= ceil(r/3) on the three-block family."""
+    """Hitting threshold t >= ceil(r/3) on the three-block family: UNSAT
+    below it and a verified SAT at it, for r = 5, 6, 7."""
     t0 = time.monotonic()
     i4 = gen_thm5(4)
     assert t_factor_oracle(i4.graph, 1, i4.cycles, "hit").status == UNSAT
@@ -91,9 +92,19 @@ def test_criterion_2_threshold_thm5(capsys):
     assert v.status == SAT
     i3 = gen_thm5(3)
     assert t_factor_oracle(i3.graph, 1, i3.cycles, "hit").status == SAT
+    for r in (5, 6, 7):
+        inst = gen_thm5(r)
+        threshold = -(-r // 3)
+        for t in range(1, threshold):
+            assert t_factor_oracle(inst.graph, t, inst.cycles, "hit").status == UNSAT, (r, t)
+        v = t_factor_oracle(inst.graph, threshold, inst.cycles, "hit")
+        assert v.status == SAT, r
+        assert verify_factor(inst.graph, v.witness, threshold)
+        assert verify_intersections(v.witness, inst.cycles, "hit")
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
-    report(capsys, f"criterion 2: PASS (r=4 UNSAT@1/SAT@2, r=3 SAT@1, {elapsed:.2f}s < 60s)")
+    report(capsys, f"criterion 2: PASS (r=3 SAT@1, r=4 UNSAT@1/SAT@2, r=5,6 UNSAT@1/SAT@2, "
+                   f"r=7 UNSAT@1,2/SAT@3, {elapsed:.2f}s < 60s)")
 
 
 def test_criterion_3_unhittable_families(capsys):

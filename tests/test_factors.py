@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cyclehit import (
@@ -14,6 +16,7 @@ from cyclehit import (
     verify_factor,
     verify_intersections,
 )
+from cyclehit.factors import _bipartite_perfect_matching
 from conftest import doubled_triangle, k4
 
 
@@ -94,3 +97,14 @@ def test_parse_serialize_roundtrip():
         parse_factor("p fac 1 2\nf 5\nf 0\n", G)  # not increasing
     with pytest.raises(FormatError):
         parse_factor("p fac 1 2\nf 0\n", G)  # count mismatch
+
+
+def test_bipartite_matching_long_augmenting_path():
+    """Tail i has out-edges to heads i and i + 1, and the last tail only to
+    head 0, so matching the last tail walks one augmenting path through all
+    5000 others, deeper than the default recursion limit allows."""
+    n = 5001
+    assert sys.getrecursionlimit() < n
+    out_edges = [[(2 * i, i), (2 * i + 1, i + 1)] for i in range(n - 1)] + [[(2 * n - 2, 0)]]
+    match_head = _bipartite_perfect_matching(n, out_edges)
+    assert match_head == [2 * n - 2] + [2 * i + 1 for i in range(n - 1)]

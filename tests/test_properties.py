@@ -1,11 +1,18 @@
 """Property tests of the structural checks and the exact search against
 brute-force oracles, on random small multigraphs: disconnected ones,
-parallel edges, bridges, prescribed 2-cycles and n <= 2 included."""
+parallel edges, bridges, prescribed 2-cycles and n <= 2 included.  The
+search's memo of failed residual problems is checked against the same
+search with the memo off, on larger seeded instances."""
+
+import random
+from collections import Counter
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
 from cyclehit import (
     BUDGET_EXCEEDED,
+    BudgetExceededError,
     MODES,
     SAT,
     UNSAT,
@@ -21,9 +28,11 @@ from cyclehit import (
     two_edge_cut_sides,
     vertex_connectivity,
 )
+from cyclehit import solver
+from cyclehit.factors import _bipartite_perfect_matching
 from cyclehit.multigraph import bridge_sides
 from cyclehit.solver import _Clock, _DegreeSearch
-from conftest import naive_factors, naive_two_edge_cut_sides
+from conftest import naive_factors, naive_two_edge_cut_sides, recursive_bipartite_perfect_matching
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -209,3 +218,136 @@ def test_forced_parallel_edge_keeps_its_witness():
     v = constrained_perfect_matching(G, forced_edge=7)
     assert _verdict(v) == (SAT, (1, 2, 7))
     assert _lex_first(naive_factors(G, 1, None, "none", forced_edge=7)) == (SAT, (1, 2, 7))
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.data())
+def test_bipartite_matching_matches_recursive_oracle(n, data):
+    """The explicit-stack Kuhn search gives the recursive form's matching,
+    or its None, on random tail->head edge multisets."""
+    out_edges = [[] for _ in range(n)]
+    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+    for eid, (tail, head) in enumerate(arcs):
+        out_edges[tail].append((eid, head))
+    assert _bipartite_perfect_matching(n, out_edges) == \
+        recursive_bipartite_perfect_matching(n, out_edges)
+
+
+def _memo_off():
+    return mock.patch.object(solver, "_MEMO_BYTES", 0)
+
+
+def _parts_instance(seed: int) -> tuple[Multigraph, CycleSet]:
+    """One to three dense random multigraphs on 4 to 7 vertices each (a
+    Hamiltonian cycle plus random edges with up to three parallel copies),
+    laid out one after the other in edge-id order, then up to two random
+    links, with most of a greedy cycle packing prescribed.  The search
+    completes the earlier parts in many ways that leave the same residual
+    problem in the later ones, which is what the memo catches."""
+    rng = random.Random(seed)
+    n, edges = 0, []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(4, 7)
+        part = [(n + i, n + (i + 1) % k) for i in range(k)]
+        for _ in range(rng.randint(k, 3 * k)):
+            u, v = rng.sample(range(k), 2)
+            part += [(n + u, n + v)] * rng.choice([1, 1, 2, 3])
+        rng.shuffle(part)
+        edges += part
+        n += k
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))]
+    G = Multigraph(n, edges)
+    cycles = [cyc for cyc in pack_cycles(G, parity=None, max_len=6).cycles if rng.random() < 0.8]
+    return G, CycleSet(G, cycles)
+
+
+MEMO_BUDGET = SearchBudget(max_nodes=1_000)
+
+
+def _engine_search(G, t, O, mode, forced=()):
+    """The engine's first solution (None if UNSAT, BUDGET_EXCEEDED past
+    MEMO_BUDGET) and its node count."""
+    clock = _Clock(MEMO_BUDGET)
+    try:
+        ids = _DegreeSearch(G, t, tuple(O.cycles), mode, clock).search(forced_in=forced)
+    except BudgetExceededError:
+        ids = BUDGET_EXCEEDED
+    return ids, clock.nodes
+
+
+def test_memo_keeps_verdicts_and_witnesses():
+    """On 40 seeded part instances, for t <= 4 in every mode, and with a
+    forced edge: the search with its memo returns the memo-off search's
+    status and witness whenever that one finishes, and never counts more
+    nodes.  Only a memo hit skips a node, so the searches that count fewer
+    nodes are the ones that hit."""
+    hits: Counter = Counter()
+    for seed in range(40):
+        G, O = _parts_instance(seed)
+        forced = random.Random(seed).randrange(G.m)
+        for t in range(1, 5):
+            for mode in MODES:
+                for edges in ((), (forced,)):
+                    on = _engine_search(G, t, O, mode, edges)
+                    with _memo_off():
+                        off = _engine_search(G, t, O, mode, edges)
+                    if off[0] != BUDGET_EXCEEDED:
+                        assert on[0] == off[0], (seed, t, mode, edges)
+                    assert on[1] <= off[1], (seed, t, mode, edges)
+                    hits[mode, bool(edges)] += on[1] < off[1]
+    assert all(hits[mode, forced] for mode in MODES for forced in (False, True)), hits
+
+
+def test_memo_byte_limit_changes_no_verdict():
+    """A memo that fills after a few keys still returns every verdict and
+    witness of the memo-off search, through t_factor_oracle."""
+    for seed in range(25):
+        G, O = _parts_instance(seed)
+        for t in range(1, 5):
+            for mode in MODES:
+                with _memo_off():
+                    off = t_factor_oracle(G, t, O, mode, budget=MEMO_BUDGET)
+                with mock.patch.object(solver, "_MEMO_BYTES", 300):
+                    tiny = t_factor_oracle(G, t, O, mode, budget=MEMO_BUDGET)
+                if off.status != BUDGET_EXCEEDED:
+                    assert _verdict(tiny) == _verdict(off), (seed, t, mode)
+                assert tiny.nodes_explored <= off.nodes_explored, (seed, t, mode)
+
+
+def test_enumeration_keeps_no_memo():
+    """enumerate() goes on past each solution, so every node above one is
+    exhausted after it has yielded; recording those would drop solutions.
+    The first 100 factors listed, and the nodes counted up to them or to
+    MEMO_BUDGET, do not depend on the memo's byte limit."""
+
+    def first_factors(G, t, O, mode):
+        clock, found = _Clock(MEMO_BUDGET), []
+        try:
+            for ids in _DegreeSearch(G, t, tuple(O.cycles), mode, clock).enumerate():
+                found.append(ids)
+                if len(found) == 100:
+                    break
+        except BudgetExceededError:
+            pass
+        return found, clock.nodes
+
+    for seed in range(20):
+        G, O = _parts_instance(seed)
+        for t in range(1, 4):
+            for mode in MODES:
+                with _memo_off():
+                    want = first_factors(G, t, O, mode)
+                assert first_factors(G, t, O, mode) == want, (seed, t, mode)
+
+
+def test_memo_key_keeps_the_cohit_flags():
+    """Two residual problems that differ only in whether cycle (4, 9, 5)
+    already has an OUT edge: the first one, which still needs one, fails,
+    and a key without the cohit flags would skip the second one too."""
+    G = Multigraph(4, [(3, 1), (2, 3), (1, 2), (3, 2), (1, 2), (3, 1), (0, 1), (3, 0), (0, 2),
+                       (3, 2), (1, 0)])
+    O = CycleSet(G, [(6, 0, 1, 8), (4, 9, 5)])
+    want = (SAT, (0, 2, 3, 6, 7, 8, 9, 10))
+    assert _lex_first(naive_factors(G, 4, O, "hit-and-cohit")) == want
+    assert _verdict(t_factor_oracle(G, 4, O, "hit-and-cohit")) == want

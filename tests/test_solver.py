@@ -144,3 +144,16 @@ def test_search_is_deterministic():
     assert a.status == b.status == SAT
     assert a.witness.edge_ids == b.witness.edge_ids
     assert a.nodes_explored == b.nodes_explored
+
+
+def test_backtracking_with_degrees_past_a_byte():
+    """With t = 256 a vertex can end with 256 IN edges, which a byte cannot
+    hold, so the search must not pack degrees into memo keys.  Vertices 0
+    and 1 are fully IN from the start; the 129 prescribed 2-cycles on 2-3
+    allow at most 129 of its 258 edges IN, which the search has to branch
+    to find out."""
+    G = Multigraph(4, [(0, 1)] * 256 + [(2, 3)] * 258)
+    O = CycleSet(G, [(256 + 2 * i, 257 + 2 * i) for i in range(129)])
+    for mode in ("hit-and-cohit", "hit-matching"):
+        v = t_factor_oracle(G, 256, O, mode)
+        assert (v.status, v.nodes_explored) == (UNSAT, 4), mode
