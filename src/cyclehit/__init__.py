@@ -16,7 +16,6 @@ from .expansion import (
     ExpansionMap,
     cubic_expansion,
     project_factor,
-    serialize_expansion_map,
     split_expansion,
 )
 from .factors import (
@@ -54,7 +53,6 @@ from .multigraph import (
     is_k_connected,
     parse_multigraph,
     serialize_multigraph,
-    two_edge_cut_sides,
     vertex_connectivity,
 )
 from .orientation import (
@@ -66,10 +64,8 @@ from .orientation import (
 from .pipelines import (
     PipelineReport,
     extend_factor,
-    half_arbitrary_pipeline,
     half_pipeline,
     orient_even_indegree,
-    third_arbitrary_pipeline,
     third_pipeline,
 )
 from .solver import (
@@ -83,7 +79,6 @@ from .solver import (
     constrained_perfect_matching,
     enumerate_t_factors,
     t_factor_oracle,
-    two_cut_recursion,
 )
 
 __version__ = "1.0.0"

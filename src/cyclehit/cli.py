@@ -20,13 +20,7 @@ from .families import gen_doubled, gen_sec6_2k, gen_thm4, gen_thm5, petersen, pe
 from .instances import pack_cycles, random_regular_multigraph
 from .multigraph import FormatError, GraphError, Multigraph, parse_multigraph, serialize_multigraph, vertex_connectivity
 from .orientation import parse_orientation, serialize_orientation, verify_orientation
-from .pipelines import (
-    extend_factor,
-    half_pipeline,
-    orient_even_indegree,
-    third_arbitrary_pipeline,
-    third_pipeline,
-)
+from .pipelines import extend_factor, half_pipeline, orient_even_indegree, third_pipeline
 from .solver import SAT, UNSAT, BudgetExceededError, SearchBudget, t_factor_oracle
 
 __all__ = ["main"]
@@ -131,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--arbitrary", action="store_true",
-                   help="allow even cycles (3-connected input, 2-cut recursion)")
+                   help="allow cycles of any length >= 3 (3-connected input)")
     p.add_argument("--out", help="output .ori path")
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--max-seconds", type=float)
@@ -191,22 +185,16 @@ def _cmd_solve(args) -> int:
     O = _load_cycles(args.cycles, G)
     budget = _budget(args)
     checked = not args.unchecked
-    if args.pipeline == "third":
-        if args.force_edge is None:
-            raise GraphError("pipeline third needs --force-edge")
-        report = third_pipeline(G, O, args.force_edge, args.t,
-                                budget=budget, checked=checked)
-        mode = "hit-matching"
-    elif args.pipeline == "third-arb":
-        if args.force_edge is not None:
-            raise GraphError("--force-edge is only supported by pipeline third")
-        report = third_arbitrary_pipeline(G, O, args.t, budget=budget, checked=checked)
+    arbitrary = args.pipeline.endswith("-arb")
+    if args.pipeline.startswith("third"):
+        report = third_pipeline(G, O, args.force_edge, args.t, budget=budget,
+                                checked=checked, arbitrary=arbitrary)
         mode = "hit-matching"
     else:
         if args.force_edge is not None:
             raise GraphError("--force-edge is only supported by pipeline third")
         report = half_pipeline(G, O, args.t, budget=budget, checked=checked,
-                               arbitrary=args.pipeline == "half-arb")
+                               arbitrary=arbitrary)
         mode = "hit-and-cohit"
     F = report.factor
     if args.l is not None:

@@ -1,47 +1,36 @@
 """Graph surgeries: vertex replacement by tree interiors, orientation-class
 vertex splitting, and projection of matchings back to the original graph.
 
-Original edges keep their ids in the expanded graph (the edge map is the
-identity on surviving ids); gadget edges are appended after them.
+Original edges keep their ids in the expanded graph; gadget edges are
+appended after them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cycles import CycleSet, cycle_vertices
 from .factors import Factor
-from .gadgets import GadgetTree, build_even_leaf_tree, build_gadget_tree
+from .gadgets import build_even_leaf_tree, build_gadget_tree
 from .multigraph import GraphError, Multigraph
-from .orientation import Orientation
+from .orientation import Orientation, _cycle_is_oriented
 
 __all__ = [
     "ExpansionMap",
     "cubic_expansion",
     "split_expansion",
     "project_factor",
-    "serialize_expansion_map",
 ]
 
 
 @dataclass(frozen=True)
 class ExpansionMap:
-    """Bookkeeping for an expansion: which new edge each original edge
-    became, and which new vertices replace each original vertex."""
+    """An expansion: edge e of the original graph is edge e of the expanded
+    one."""
 
     original: Multigraph
     expanded: Multigraph
-    edge_map: tuple[int, ...]
-    vertex_groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.edge_map) != self.original.m:
-            raise GraphError("edge map must cover every original edge")
-        if len(set(self.edge_map)) != len(self.edge_map):
-            raise GraphError("edge map must be injective")
-        if len(self.vertex_groups) != self.original.n:
-            raise GraphError("vertex groups must cover every original vertex")
 
 
 def _cycle_pairs_at_vertices(
@@ -129,10 +118,8 @@ def cubic_expansion(
     at_vertex = _cycle_pairs_at_vertices(G, O)
     # endpoint_vertex[(eid, v)] -> expanded vertex replacing endpoint v of eid
     endpoint_vertex: dict[tuple[int, int], int] = {}
-    vertex_groups = []
     for v in range(G.n):
         offset = v * block
-        vertex_groups.append(tuple(range(offset, offset + block)))
         pairs = [pair for _, pair in sorted(at_vertex[v])]
         assignment = _assign_slots(group_capacity, len(pairs))
         if assignment is None:
@@ -166,26 +153,16 @@ def cubic_expansion(
     expanded = Multigraph(G.n * block, new_edges)
     if expanded.is_regular() != 3:
         raise AssertionError("cubic expansion produced a non-cubic graph")
-    xmap = ExpansionMap(
-        original=G,
-        expanded=expanded,
-        edge_map=tuple(range(G.m)),
-        vertex_groups=tuple(vertex_groups),
-    )
-    induced = CycleSet(expanded, O.cycles)
-    return xmap, induced
+    return ExpansionMap(G, expanded), CycleSet(expanded, O.cycles)
 
 
-def split_expansion(
-    G: Multigraph, D: Orientation, O: CycleSet
-) -> tuple[ExpansionMap, list[tuple[int, str, tuple[int, int]]]]:
-    """Split every vertex into degree-2 vertices pairing in-edges with
-    in-edges and out-edges with out-edges.
+def split_expansion(G: Multigraph, D: Orientation, O: CycleSet) -> ExpansionMap:
+    """Split every vertex into degree-2 vertices, each taking two of its
+    in-edges or two of its out-edges.
 
     Cycle edges meeting a vertex in the same direction share a split vertex;
     the rest are paired greedily by lowest edge id.  The result is a
-    2-regular bipartite graph on the same edge ids.  Also returns the
-    pairing record: (original vertex, 'in'|'out', edge pair) per new vertex.
+    2-regular bipartite graph on the same edge ids.
     """
     if D.host != G or O.host != G:
         raise GraphError("orientation or cycle set does not match the graph")
@@ -198,8 +175,6 @@ def split_expansion(
     at_vertex = _cycle_pairs_at_vertices(G, O)
 
     endpoint_vertex: dict[tuple[int, int], int] = {}
-    vertex_groups = []
-    pairing: list[tuple[int, str, tuple[int, int]]] = []
     next_id = 0
     for v in range(G.n):
         ins = [e for e in G.incident(v) if D.head[e] == v]
@@ -217,27 +192,15 @@ def split_expansion(
         taken = {e for pair in forced_in + forced_out for e in pair}
         loose_in = [e for e in ins if e not in taken]
         loose_out = [e for e in outs if e not in taken]
-        group = []
-        for e, f in forced_in + [
-            (loose_in[i], loose_in[i + 1]) for i in range(0, len(loose_in), 2)
-        ]:
+        pairs = forced_in + list(zip(loose_in[::2], loose_in[1::2]))
+        pairs += forced_out + list(zip(loose_out[::2], loose_out[1::2]))
+        for e, f in pairs:
             endpoint_vertex[(e, v)] = next_id
             endpoint_vertex[(f, v)] = next_id
-            pairing.append((v, "in", (e, f)))
-            group.append(next_id)
             next_id += 1
-        for e, f in forced_out + [
-            (loose_out[i], loose_out[i + 1]) for i in range(0, len(loose_out), 2)
-        ]:
-            endpoint_vertex[(e, v)] = next_id
-            endpoint_vertex[(f, v)] = next_id
-            pairing.append((v, "out", (e, f)))
-            group.append(next_id)
-            next_id += 1
-        vertex_groups.append(tuple(group))
 
     for cyc in O.cycles:
-        if _is_oriented(G, D, cyc):
+        if _cycle_is_oriented(D, cyc):
             raise GraphError("a prescribed cycle is an oriented cycle")
 
     new_edges = [
@@ -247,23 +210,7 @@ def split_expansion(
     expanded = Multigraph(next_id, new_edges)
     if expanded.is_regular() != 2:
         raise AssertionError("split expansion produced a non-2-regular graph")
-    xmap = ExpansionMap(
-        original=G,
-        expanded=expanded,
-        edge_map=tuple(range(G.m)),
-        vertex_groups=tuple(vertex_groups),
-    )
-    return xmap, pairing
-
-
-def _is_oriented(G: Multigraph, D: Orientation, cycle: tuple[int, ...]) -> bool:
-    heads_at: dict[int, int] = {}
-    for e in cycle:
-        u, v = G.endpoints(e)
-        heads_at.setdefault(u, 0)
-        heads_at.setdefault(v, 0)
-        heads_at[D.head[e]] += 1
-    return all(c == 1 for c in heads_at.values())
+    return ExpansionMap(G, expanded)
 
 
 def project_factor(xmap: ExpansionMap, M: Iterable[int], t: int) -> Factor:
@@ -280,14 +227,4 @@ def project_factor(xmap: ExpansionMap, M: Iterable[int], t: int) -> Factor:
         covered[v] += 1
     if any(c != 1 for c in covered):
         raise GraphError("edge set is not a perfect matching of the expanded graph")
-    ids = tuple(e for e, new in enumerate(xmap.edge_map) if new in M)
-    return Factor(xmap.original, t, ids)
-
-
-def serialize_expansion_map(xmap: ExpansionMap) -> str:
-    """Debugging sidecar: `x <orig-eid> <new-eid>` and `g <orig-vertex>
-    <new-vertices...>` lines."""
-    lines = [f"x {e} {new}" for e, new in enumerate(xmap.edge_map)]
-    for v, group in enumerate(xmap.vertex_groups):
-        lines.append("g " + " ".join([str(v)] + [str(w) for w in group]))
-    return "\n".join(lines) + "\n"
+    return Factor(xmap.original, t, tuple(e for e in range(xmap.original.m) if e in M))

@@ -21,7 +21,6 @@ __all__ = [
     "serialize_multigraph",
     "vertex_connectivity",
     "is_k_connected",
-    "two_edge_cut_sides",
     "bridge_sides",
 ]
 
@@ -426,47 +425,3 @@ def is_k_connected(G: Multigraph, k: int) -> bool:
     if k == 3:
         return _is_3_connected(G)
     return vertex_connectivity(G) >= k
-
-
-def two_edge_cut_sides(
-    G: Multigraph,
-) -> list[tuple[tuple[int, int], tuple[frozenset[int], frozenset[int]]]]:
-    """All 2-edge-cuts with the vertex bipartition each one induces.
-
-    Requires a 2-edge-connected graph: bridges (and disconnected input) are
-    rejected, naming the lowest bridge id.  Cuts are listed in lexicographic
-    edge-id order, and each bipartition lists the side containing vertex 0
-    first.
-
-    Method: cycle-space labels over a depth-first spanning tree (see
-    _cut_labels), O(n + m).  The labels of an edge cut XOR to 0, so a
-    bridge always has label 0 and the two edges of a 2-edge-cut always
-    share a label.  Only those edges and pairs are candidates, and each is
-    confirmed by an exact component count.  A label collision can only add a
-    candidate that fails its count, so the result is exact and independent
-    of the labels; the extra cost is one component count per cut listed.
-    """
-    if G.n == 0:
-        return []
-    order, parent_edge = _dfs_tree(G, 0, [-1] * G.n)
-    if len(order) < G.n:
-        raise GraphError("graph is disconnected")
-    label = _cut_labels(G, order, parent_edge)
-    for eid in range(G.m):
-        if label[eid] == 0 and len(G.components(excluded_edges=(eid,))) > 1:
-            raise GraphError(f"graph has a bridge: edge {eid}")
-    classes = defaultdict(list)
-    for eid, x in enumerate(label):
-        classes[x].append(eid)
-    cuts = []
-    for ids in classes.values():
-        for i, e in enumerate(ids):
-            for f in ids[i + 1:]:
-                comps = G.components(excluded_edges=(e, f))
-                if len(comps) == 2:
-                    a, b = comps
-                    if 0 not in a:
-                        a, b = b, a
-                    cuts.append(((e, f), (frozenset(a), frozenset(b))))
-    cuts.sort(key=lambda cut: cut[0])
-    return cuts

@@ -1,11 +1,14 @@
 """Top-level constructive pipelines.
 
-third_pipeline: t-factor of a 2-connected 3t-regular graph through a
-prescribed edge, meeting every prescribed odd cycle in a non-empty matching.
-half_pipeline: t-factor (t even) of a 2-connected 2t-regular graph meeting
-and co-meeting every prescribed odd cycle, via an even-indegree orientation.
-The *_arbitrary variants accept cycles of any length >= 3 on 3-connected
-input and solve through the 2-edge-cut recursion.
+third_pipeline: t-factor of a 3t-regular graph meeting every prescribed
+cycle in a non-empty matching: through a prescribed edge for odd cycles on
+2-connected input, or, with arbitrary=True, for cycles of any length >= 3
+on 3-connected input.
+half_pipeline: t-factor (t even) of a 2t-regular graph meeting and
+co-meeting every prescribed cycle, via an even-indegree orientation; odd
+cycles on 2-connected input, or arbitrary=True as above.
+Both solve one cycle-hitting perfect matching of a cubic expansion with the
+exact search.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .solver import (
     SearchBudget,
     bipartite_alternating_matching,
     constrained_perfect_matching,
-    two_cut_recursion,
 )
 
 __all__ = [
@@ -35,17 +37,13 @@ __all__ = [
     "orient_even_indegree",
     "half_pipeline",
     "extend_factor",
-    "third_arbitrary_pipeline",
-    "half_arbitrary_pipeline",
 ]
 
 
 @dataclass
 class PipelineReport:
     factor: Factor
-    expansion_stats: dict[str, int] = field(default_factory=dict)
     solver_stats: dict[str, int] = field(default_factory=dict)
-    checks: dict[str, bool] = field(default_factory=dict)
     orientation: Optional[Orientation] = None
 
 
@@ -54,24 +52,28 @@ def _require(condition: bool, message: str):
         raise GraphError(message)
 
 
-def _reject_2_cycles(O: CycleSet):
-    _require(O.min_length() >= 3 or len(O) == 0, "2-cycles are not allowed here")
-
-
 def _check_common(
     G: Multigraph,
     O: CycleSet,
     regularity: int,
-    connectivity: int,
-    odd_only: bool,
+    checked: bool,
+    arbitrary: bool,
 ):
+    """Odd cycles on 2-connected input, or with arbitrary=True cycles of any
+    length >= 3 on 3-connected input; 2-cycles are rejected under arbitrary
+    even when checked=False."""
+    if arbitrary:
+        _require(O.min_length() >= 3 or len(O) == 0, "2-cycles are not allowed here")
+    if not checked:
+        return
+    connectivity = 3 if arbitrary else 2
     _require(O.host == G, "cycle set does not belong to this graph")
     _require(G.is_regular() == regularity, f"graph must be {regularity}-regular")
     _require(
         is_k_connected(G, connectivity),
         f"graph must be {connectivity}-connected",
     )
-    if odd_only:
+    if not arbitrary:
         _require(O.all_odd(), "all prescribed cycles must be odd")
 
 
@@ -87,35 +89,39 @@ def _unwrap(verdict: OracleVerdict, what: str) -> tuple[int, ...]:
 def third_pipeline(
     G: Multigraph,
     O: CycleSet,
-    e: int,
+    e: Optional[int],
     t: int,
     budget: Optional[SearchBudget] = None,
     checked: bool = True,
+    arbitrary: bool = False,
 ) -> PipelineReport:
     """t-factor through edge e whose intersection with every prescribed odd
-    cycle is a non-empty matching (G 2-connected and 3t-regular)."""
-    _require(0 <= e < G.m, f"edge id {e} out of range")
-    if checked:
-        _check_common(G, O, regularity=3 * t, connectivity=2, odd_only=True)
+    cycle is a non-empty matching (G 2-connected and 3t-regular).
+
+    With arbitrary=True, e must be None, cycles of any length >= 3 are
+    accepted, and G must be 3-connected; 2-cycles are rejected even when
+    checked=False.
+    """
+    if arbitrary:
+        _require(e is None, "the arbitrary third pipeline takes no forced edge")
+    else:
+        _require(e is not None, "the third pipeline needs a forced edge")
+        _require(0 <= e < G.m, f"edge id {e} out of range")
+    _check_common(G, O, 3 * t, checked, arbitrary)
     xmap, induced = cubic_expansion(G, O, t, family="third")
     verdict = constrained_perfect_matching(
-        xmap.expanded, induced, forced_edge=xmap.edge_map[e], budget=budget
+        xmap.expanded, induced, forced_edge=e, budget=budget
     )
     matching = _unwrap(verdict, "expanded matching instance")
     F = project_factor(xmap, matching, t)
     checks = {
         "t_factor": verify_factor(G, F, t),
-        "forced_edge": e in F.edge_ids,
+        "forced_edge": e is None or e in F.edge_ids,
         "hit_matching": verify_intersections(F, O, "hit-matching"),
     }
     if not all(checks.values()):
         raise AssertionError(f"pipeline postcondition failed: {checks}")
-    return PipelineReport(
-        factor=F,
-        expansion_stats={"vertices": xmap.expanded.n, "edges": xmap.expanded.m},
-        solver_stats={"matching_nodes": verdict.nodes_explored},
-        checks=checks,
-    )
+    return PipelineReport(factor=F, solver_stats={"matching_nodes": verdict.nodes_explored})
 
 
 def orient_even_indegree(
@@ -131,9 +137,9 @@ def orient_even_indegree(
 
     Method: orient a full cycle decomposition cyclically, then flip the
     original edges matched in a cycle-hitting perfect matching of the cubic
-    expansion.  With arbitrary=True, cycles of any length >= 3 are accepted,
-    G must be 3-connected, and the matching is found by 2-cut recursion;
-    2-cycles are rejected even when checked=False.
+    expansion.  With arbitrary=True, cycles of any length >= 3 are accepted
+    and G must be 3-connected; 2-cycles are rejected even when
+    checked=False.
     """
     return _orient(G, O, t, budget, checked, arbitrary)[0]
 
@@ -148,16 +154,7 @@ def _orient(
 ) -> tuple[Orientation, int]:
     """orient_even_indegree, plus the node count of its matching search."""
     _require(t >= 2 and t % 2 == 0, "t must be an even integer >= 2")
-    if arbitrary:
-        _reject_2_cycles(O)
-    if checked:
-        _check_common(
-            G,
-            O,
-            regularity=2 * t,
-            connectivity=3 if arbitrary else 2,
-            odd_only=not arbitrary,
-        )
+    _check_common(G, O, 2 * t, checked, arbitrary)
     decomposition = cycle_decomposition(G, O)
     head = [-1] * G.m
     for cyc in decomposition.cycles:
@@ -168,14 +165,9 @@ def _orient(
     D = Orientation(G, tuple(head))
 
     xmap, induced = cubic_expansion(G, O, t, family="half")
-    if arbitrary:
-        verdict = two_cut_recursion(xmap.expanded, induced, budget=budget)
-    else:
-        verdict = constrained_perfect_matching(xmap.expanded, induced, budget=budget)
+    verdict = constrained_perfect_matching(xmap.expanded, induced, budget=budget)
     matching = set(_unwrap(verdict, "orientation matching instance"))
-    flipped = D.flipped(
-        e for e, new in enumerate(xmap.edge_map) if new in matching
-    )
+    flipped = D.flipped(e for e in range(G.m) if e in matching)
     if not verify_orientation(G, flipped, O):
         raise AssertionError("orientation postcondition failed")
     return flipped, verdict.nodes_explored
@@ -190,9 +182,10 @@ def half_pipeline(
     arbitrary: bool = False,
 ) -> PipelineReport:
     """t-factor (t even) sharing at least one edge with every prescribed
-    cycle and leaving at least one edge of each uncovered."""
+    cycle and leaving at least one edge of each uncovered; the inputs are
+    those of orient_even_indegree."""
     D, nodes = _orient(G, O, t, budget, checked, arbitrary)
-    xmap, _pairing = split_expansion(G, D, O)
+    xmap = split_expansion(G, D, O)
     matching = bipartite_alternating_matching(xmap.expanded)
     F = project_factor(xmap, matching, t)
     checks = {
@@ -201,55 +194,7 @@ def half_pipeline(
     }
     if not all(checks.values()):
         raise AssertionError(f"pipeline postcondition failed: {checks}")
-    return PipelineReport(
-        factor=F,
-        expansion_stats={"split_vertices": xmap.expanded.n},
-        solver_stats={"matching_nodes": nodes},
-        checks=checks,
-        orientation=D,
-    )
-
-
-def third_arbitrary_pipeline(
-    G: Multigraph,
-    O: CycleSet,
-    t: int,
-    budget: Optional[SearchBudget] = None,
-    checked: bool = True,
-) -> PipelineReport:
-    """Like third_pipeline for cycles of any length >= 3 on 3-connected
-    input; no edge can be prescribed, and the expanded instance (which may
-    contain 2-edge-cuts) is solved by the 2-cut recursion."""
-    _reject_2_cycles(O)
-    if checked:
-        _check_common(G, O, regularity=3 * t, connectivity=3, odd_only=False)
-    xmap, induced = cubic_expansion(G, O, t, family="third")
-    verdict = two_cut_recursion(xmap.expanded, induced, budget=budget)
-    matching = _unwrap(verdict, "expanded matching instance")
-    F = project_factor(xmap, matching, t)
-    checks = {
-        "t_factor": verify_factor(G, F, t),
-        "hit_matching": verify_intersections(F, O, "hit-matching"),
-    }
-    if not all(checks.values()):
-        raise AssertionError(f"pipeline postcondition failed: {checks}")
-    return PipelineReport(
-        factor=F,
-        expansion_stats={"vertices": xmap.expanded.n, "edges": xmap.expanded.m},
-        solver_stats={"matching_nodes": verdict.nodes_explored},
-        checks=checks,
-    )
-
-
-def half_arbitrary_pipeline(
-    G: Multigraph,
-    O: CycleSet,
-    t: int,
-    budget: Optional[SearchBudget] = None,
-    checked: bool = True,
-) -> PipelineReport:
-    """half_pipeline for cycles of any length >= 3 on 3-connected input."""
-    return half_pipeline(G, O, t, budget=budget, checked=checked, arbitrary=True)
+    return PipelineReport(factor=F, solver_stats={"matching_nodes": nodes}, orientation=D)
 
 
 def extend_factor(G: Multigraph, F: Factor, l: int) -> Factor:

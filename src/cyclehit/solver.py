@@ -1,6 +1,6 @@
 """Exact search engines: degree-constrained subgraphs with cycle-hitting
-constraints, constrained perfect matchings in cubic graphs, the 2-edge-cut
-recursion, and the alternating matching of 2-regular bipartite graphs.
+constraints, constrained perfect matchings in cubic graphs, and the
+alternating matching of 2-regular bipartite graphs.
 
 All searches branch on the lowest undecided edge id, include-branch first,
 and propagate forced decisions (degree bounds and per-cycle feasibility), so
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional
 
 from .cycles import CycleSet
 from .factors import MODES, Factor, verify_factor, verify_intersections
-from .multigraph import GraphError, Multigraph, bridge_sides, two_edge_cut_sides
+from .multigraph import GraphError, Multigraph, bridge_sides
 
 __all__ = [
     "SAT",
@@ -34,7 +34,6 @@ __all__ = [
     "OracleVerdict",
     "BudgetExceededError",
     "constrained_perfect_matching",
-    "two_cut_recursion",
     "bipartite_alternating_matching",
     "t_factor_oracle",
     "enumerate_t_factors",
@@ -99,9 +98,17 @@ class _Clock:
 _UNDEC, _IN, _OUT = 0, 1, 2
 # bytes.translate table: 1 for a decided edge, 0 for an undecided one.
 _DECIDED = bytes([0, 1, 1]).ljust(256, b"\0")
-# Bytes of keys one search may keep in its memo of failed residual problems;
-# once they are used up it stops recording, and goes on looking up.
+# Bytes one search may spend on its memo of failed residual problems, keys
+# and hash table together; once they are used up it stops recording, and
+# goes on looking up.
 _MEMO_BYTES = 64 << 20
+
+
+def _memo_room(room: int, keys: int, memo: set[bytes]) -> int:
+    """Bytes left of a memo's room once its keys and its hash table's next
+    resize are paid for: CPython makes a set's table 4 times larger (2
+    times past 50000 entries), and copies it while the old one is alive."""
+    return room - keys - (3 if len(memo) > 50000 else 5) * sys.getsizeof(memo)
 
 
 class _DegreeSearch:
@@ -180,10 +187,12 @@ class _DegreeSearch:
         self.edge_cycle = [-1] * self.m
         self.nbrs: list[tuple[int, ...]] = [()] * self.m
         for ci, cyc in enumerate(cycles):
-            k = len(cyc)
-            for i, e in enumerate(cyc):
+            for e in cyc:
                 self.edge_cycle[e] = ci
-                self.nbrs[e] = tuple({cyc[i - 1], cyc[(i + 1) % k]} - {e})
+            if self.matching:  # the only mode that reads nbrs
+                k = len(cyc)
+                for i, e in enumerate(cyc):
+                    self.nbrs[e] = tuple({cyc[i - 1], cyc[(i + 1) % k]} - {e})
         self.cyc_in = [0] * len(cycles)
         self.cyc_out = [0] * len(cycles)
         self.cyc_und = [len(c) for c in cycles]
@@ -378,9 +387,9 @@ class _DegreeSearch:
         """Every solution, in lexicographic search order: branch on the
         lowest undecided edge, IN first.  Iterative, so the depth of the
         search does not touch the interpreter stack.  Exhausted branch
-        nodes go into the memo while their keys fit in `room` bytes; a
-        caller that takes more than the first solution must pass 0, since
-        a node is recorded whenever its sub-trees are done."""
+        nodes go into the memo while it fits in `room` bytes; a caller
+        that takes more than the first solution must pass 0, since a node
+        is recorded whenever its sub-trees are done."""
         t = self.t
         if any(d < t for d in self.deg_und) or (self.G.n * t) % 2 == 1:
             return
@@ -403,6 +412,8 @@ class _DegreeSearch:
             ))
 
         memo: set[bytes] = set()
+        keys = 0  # bytes held by the keys in memo
+        left = _memo_room(room, keys, memo)
         recorded = bytearray(m)  # 1 where a memo key branches on that edge
         # (edge, trail mark, node count after its tick, entry key or None,
         # on its OUT branch)
@@ -433,24 +444,44 @@ class _DegreeSearch:
                         break
                 # Exhausted.  The next node's undo_to clears its trail too,
                 # unless its entry state is needed for its key.
-                if room > 0 and clock.nodes > seen:
+                if left > 0 and clock.nodes > seen:
                     if entry is None:
                         undo_to(mark)
                         entry = key(e)
                     memo.add(entry)
                     recorded[e] = 1
-                    room -= sys.getsizeof(entry)
+                    keys += sys.getsizeof(entry)
+                    left = _memo_room(room, keys, memo)
             else:
                 return
 
 
-def _check_witness(G: Multigraph, ids: tuple[int, ...], t: int, O: Optional[CycleSet], mode: str) -> Factor:
+def _run(
+    G: Multigraph,
+    t: int,
+    O: Optional[CycleSet],
+    mode: str,
+    budget: Optional[SearchBudget],
+    forced: tuple[int, ...] = (),
+) -> OracleVerdict:
+    """Search for the first solution through every forced edge; a budget
+    stop is its own status, and a SAT witness is verified."""
+    if O is not None and O.host != G:
+        raise GraphError("cycle set does not belong to this graph")
+    clock = _Clock(budget)
+    engine = _DegreeSearch(G, t, tuple(O.cycles) if O is not None else (), mode, clock)
+    try:
+        ids = engine.search(forced_in=forced)
+    except BudgetExceededError:
+        return OracleVerdict(BUDGET_EXCEEDED, None, clock.nodes)
+    if ids is None:
+        return OracleVerdict(UNSAT, None, clock.nodes)
     F = Factor(G, t, ids)
-    if not verify_factor(G, F, t):
-        raise AssertionError("search returned a non-factor witness")
+    if not verify_factor(G, F, t) or not F.edge_set().issuperset(forced):
+        raise AssertionError("search witness is not a t-factor through every forced edge")
     if O is not None and mode != "none" and not verify_intersections(F, O, mode):
         raise AssertionError("search witness violates the intersection mode")
-    return F
+    return OracleVerdict(SAT, F, clock.nodes)
 
 
 def t_factor_oracle(
@@ -470,18 +501,7 @@ def t_factor_oracle(
         raise ValueError(f"unknown mode {mode!r}")
     if t < 0:
         raise GraphError("t must be non-negative")
-    if O is not None and O.host != G:
-        raise GraphError("cycle set does not belong to this graph")
-    cycles = O.cycles if O is not None else ()
-    clock = _Clock(budget)
-    engine = _DegreeSearch(G, t, tuple(cycles), mode, clock)
-    try:
-        ids = engine.search()
-    except BudgetExceededError:
-        return OracleVerdict(BUDGET_EXCEEDED, None, clock.nodes)
-    if ids is None:
-        return OracleVerdict(UNSAT, None, clock.nodes)
-    return OracleVerdict(SAT, _check_witness(G, ids, t, O, mode), clock.nodes)
+    return _run(G, t, O, mode, budget)
 
 
 def enumerate_t_factors(
@@ -509,121 +529,8 @@ def constrained_perfect_matching(
     every prescribed cycle.  Exact: UNSAT only after exhausting the space."""
     if G.is_regular() != 3:
         raise GraphError("graph is not cubic")
-    if O is not None and O.host != G:
-        raise GraphError("cycle set does not belong to this graph")
-    cycles = O.cycles if O is not None else ()
-    clock = _Clock(budget)
-    engine = _DegreeSearch(G, 1, tuple(cycles), "hit", clock)
     forced = (forced_edge,) if forced_edge is not None else ()
-    try:
-        ids = engine.search(forced_in=forced)
-    except BudgetExceededError:
-        return OracleVerdict(BUDGET_EXCEEDED, None, clock.nodes)
-    if ids is None:
-        return OracleVerdict(UNSAT, None, clock.nodes)
-    if forced_edge is not None and forced_edge not in ids:
-        raise AssertionError("forced edge missing from witness")
-    return OracleVerdict(SAT, _check_witness(G, ids, 1, O, "hit"), clock.nodes)
-
-
-def _induced(
-    H: Multigraph, verts: frozenset[int], extra: Optional[tuple[int, int]]
-) -> tuple[Multigraph, list[Optional[int]]]:
-    """Induced subgraph plus an optional extra edge appended last.
-
-    Returns the subgraph and the local-eid -> H-eid map (None for the extra
-    edge)."""
-    vmap = {v: i for i, v in enumerate(sorted(verts))}
-    edges = []
-    eid_map: list[Optional[int]] = []
-    for eid, (u, v) in enumerate(H.edges):
-        if u in vmap and v in vmap:
-            edges.append((vmap[u], vmap[v]))
-            eid_map.append(eid)
-    if extra is not None:
-        edges.append((vmap[extra[0]], vmap[extra[1]]))
-        eid_map.append(None)
-    return Multigraph(len(vmap), edges), eid_map
-
-
-def _matching_of(H: Multigraph, clock: _Clock) -> Optional[set[int]]:
-    engine = _DegreeSearch(H, 1, (), "none", clock)
-    ids = engine.search()
-    return set(ids) if ids is not None else None
-
-
-def _two_cut_rec(
-    H: Multigraph, cycles: tuple[tuple[int, ...], ...], clock: _Clock
-) -> Optional[set[int]]:
-    """Matching of H hitting all cycles, decomposing at 2-edge-cuts.
-
-    Returns H-local edge ids or None (UNSAT)."""
-    cuts = two_edge_cut_sides(H)
-    if not cuts:
-        engine = _DegreeSearch(H, 1, cycles, "hit", clock)
-        ids = engine.search()
-        return set(ids) if ids is not None else None
-    (e1, e2), (side_a, side_b) = cuts[0]
-    cycle_verts = {v for cyc in cycles for e in cyc for v in H.endpoints(e)}
-    if cycle_verts and not (cycle_verts <= side_a or cycle_verts <= side_b):
-        raise GraphError(
-            f"2-edge-cut ({e1}, {e2}) separates members of the cycle set"
-        )
-    near = side_a if (not cycle_verts or cycle_verts <= side_a) else side_b
-    far = side_b if near is side_a else side_a
-    u1, v1 = H.endpoints(e1)
-    x1, y1 = (u1, v1) if u1 in near else (v1, u1)
-    u2, v2 = H.endpoints(e2)
-    x2, y2 = (u2, v2) if u2 in near else (v2, u2)
-
-    H1, map1 = _induced(H, near, extra=(x1, x2))
-    inv1 = {orig: local for local, orig in enumerate(map1) if orig is not None}
-    cycles1 = tuple(tuple(inv1[e] for e in cyc) for cyc in cycles)
-    M1 = _two_cut_rec(H1, cycles1, clock)
-    if M1 is None:
-        return None
-    bridge_local = len(map1) - 1
-    M = {map1[e] for e in M1 if e != bridge_local}
-    if bridge_local in M1:
-        H2, map2 = _induced(H, far - {y1, y2}, extra=None)
-        M2 = _matching_of(H2, clock) if H2.n > 0 else set()
-        if M2 is None:
-            return None
-        return M | {map2[e] for e in M2} | {e1, e2}
-    H2, map2 = _induced(H, far, extra=None)
-    M2 = _matching_of(H2, clock)
-    if M2 is None:
-        return None
-    return M | {map2[e] for e in M2}
-
-
-def two_cut_recursion(
-    G: Multigraph,
-    O: Optional[CycleSet] = None,
-    budget: Optional[SearchBudget] = None,
-) -> OracleVerdict:
-    """Like constrained_perfect_matching without a forced edge, but splits
-    the instance at 2-edge-cuts: solve the cycle side with the cut replaced
-    by one edge, then complete the far side with a matching through or
-    avoiding that edge as needed.
-
-    Every 2-edge-cut must leave all prescribed cycles on one side.
-    """
-    if G.is_regular() != 3:
-        raise GraphError("graph is not cubic")
-    if O is not None and O.host != G:
-        raise GraphError("cycle set does not belong to this graph")
-    cycles = tuple(O.cycles) if O is not None else ()
-    clock = _Clock(budget)
-    try:
-        ids = _two_cut_rec(G, cycles, clock)
-    except BudgetExceededError:
-        return OracleVerdict(BUDGET_EXCEEDED, None, clock.nodes)
-    if ids is None:
-        return OracleVerdict(UNSAT, None, clock.nodes)
-    return OracleVerdict(
-        SAT, _check_witness(G, tuple(sorted(ids)), 1, O, "hit"), clock.nodes
-    )
+    return _run(G, 1, O, "hit", budget, forced)
 
 
 def bipartite_alternating_matching(G2: Multigraph) -> tuple[int, ...]:

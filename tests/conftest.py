@@ -221,25 +221,3 @@ def prism(k: int) -> Multigraph:
     for i in range(k):
         edges += [(i, (i + 1) % k), (k + i, k + (i + 1) % k), (i, k + i)]
     return Multigraph(2 * k, edges)
-
-
-# ------------------------------------------------- 2-edge-cut oracle
-
-def naive_two_edge_cut_sides(G: Multigraph):
-    """two_edge_cut_sides by removing every edge and every edge pair, with
-    the same errors and output order; O(m^2 (n + m))."""
-    if not G.is_connected():
-        raise GraphError("graph is disconnected")
-    for eid in range(G.m):
-        if len(G.components(excluded_edges=(eid,))) > 1:
-            raise GraphError(f"graph has a bridge: edge {eid}")
-    cuts = []
-    for e in range(G.m):
-        for f in range(e + 1, G.m):
-            comps = G.components(excluded_edges=(e, f))
-            if len(comps) == 2:
-                a, b = comps
-                if 0 not in a:
-                    a, b = b, a
-                cuts.append(((e, f), (frozenset(a), frozenset(b))))
-    return cuts

@@ -26,7 +26,7 @@ from cyclehit import (
     petersen_cycles,
     random_regular_multigraph,
     t_factor_oracle,
-    third_arbitrary_pipeline,
+    third_pipeline,
     verify_factor,
     verify_intersections,
     verify_orientation,
@@ -260,11 +260,11 @@ def test_criterion_10_arbitrary_cycle_pipelines(tmp_path, capsys):
     t0 = time.monotonic()
     G = k4()
     O = CycleSet(G, [(0, 4, 5, 1)])  # 4-cycle 0-1-3-2
-    rep = third_arbitrary_pipeline(G, O, 1)
+    rep = third_pipeline(G, O, None, 1, arbitrary=True)
     assert verify_intersections(rep.factor, O, "hit-matching")
     C8 = circulant(8, (1, 2, 3))  # 6-regular, 3-connected
     O8 = pack_cycles(C8, parity="even")
-    rep = third_arbitrary_pipeline(C8, O8, 2)
+    rep = third_pipeline(C8, O8, None, 2, arbitrary=True)
     assert verify_factor(C8, rep.factor, 2)
     assert verify_intersections(rep.factor, O8, "hit-matching")
     # 2-cycle input rejected with exit 2 through the CLI

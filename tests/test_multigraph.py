@@ -7,7 +7,6 @@ from cyclehit import (
     is_k_connected,
     parse_multigraph,
     serialize_multigraph,
-    two_edge_cut_sides,
     vertex_connectivity,
 )
 from conftest import bowtie, c4, doubled_triangle, k4, naive_vertex_connectivity, prism
@@ -73,23 +72,6 @@ def test_parse_comments_and_errors():
         parse_multigraph("p mg 3 2\ne 0 1\n")
 
 
-def test_two_edge_cut_sides():
-    # two triangles joined by two edges: the join is the unique 2-edge-cut
-    G = Multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (0, 4)])
-    cuts = two_edge_cut_sides(G)
-    assert ((6, 7), (frozenset({0, 1, 2}), frozenset({3, 4, 5}))) in cuts
-    with pytest.raises(GraphError):
-        two_edge_cut_sides(Multigraph(2, [(0, 1)]))  # bridge
-    # two triangles joined through vertex 6 by the bridges 6 and 7
-    G = Multigraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 6), (6, 3)])
-    with pytest.raises(GraphError, match="graph has a bridge: edge 6$"):
-        two_edge_cut_sides(G)
-
-
-def test_two_edge_cut_on_three_connected_graph_is_empty():
-    assert two_edge_cut_sides(k4()) == []
-
-
 def test_structural_checks_need_no_recursion_on_a_long_prism():
     # The depth-first search on a prism is about as deep as it has vertices;
     # 10^4 vertices is far past the default recursion limit.
@@ -97,13 +79,7 @@ def test_structural_checks_need_no_recursion_on_a_long_prism():
     G = prism(k)
     assert is_k_connected(G, 2)
     assert is_k_connected(G, 3)
-    assert two_edge_cut_sides(G) == []
     # Without the rung 0-k (edge 2), vertices 0 and k keep two edges each.
     H = Multigraph(2 * k, G.edges[:2] + G.edges[3:])
     assert is_k_connected(H, 2)
     assert not is_k_connected(H, 3)
-    rest = frozenset(range(1, 2 * k)) - {k}
-    assert two_edge_cut_sides(H) == [
-        ((0, 3 * k - 4), (frozenset({0}), rest | {k})),
-        ((1, 3 * k - 3), (rest | {0}, frozenset({k}))),
-    ]

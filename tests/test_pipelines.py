@@ -9,7 +9,6 @@ from cyclehit import (
     extend_factor,
     gen_doubled,
     gen_thm5,
-    half_arbitrary_pipeline,
     half_pipeline,
     orient_even_indegree,
     pack_cycles,
@@ -17,7 +16,6 @@ from cyclehit import (
     petersen_cycles,
     random_regular_multigraph,
     t_factor_oracle,
-    third_arbitrary_pipeline,
     third_pipeline,
     verify_factor,
     verify_intersections,
@@ -123,18 +121,18 @@ def test_extend_factor_validation():
 def test_third_arbitrary_pipeline_k4():
     G = k4()
     O = CycleSet(G, [(0, 3, 1)])  # a triangle is fine here too
-    rep = third_arbitrary_pipeline(G, O, 1)
+    rep = third_pipeline(G, O, None, 1, arbitrary=True)
     assert verify_intersections(rep.factor, O, "hit-matching")
     # and with an even cycle
     O4 = CycleSet(G, [(0, 4, 5, 1)])  # 4-cycle 0-1-3-2
-    rep = third_arbitrary_pipeline(G, O4, 1)
+    rep = third_pipeline(G, O4, None, 1, arbitrary=True)
     assert verify_intersections(rep.factor, O4, "hit-matching")
 
 
 def test_third_arbitrary_pipeline_circulant():
     G = circulant(8, (1, 2, 3))  # 6-regular, 3-connected
     O = pack_cycles(G, parity="even")
-    rep = third_arbitrary_pipeline(G, O, 2)
+    rep = third_pipeline(G, O, None, 2, arbitrary=True)
     assert verify_factor(G, rep.factor, 2)
     assert verify_intersections(rep.factor, O, "hit-matching")
 
@@ -142,17 +140,17 @@ def test_third_arbitrary_pipeline_circulant():
 def test_half_arbitrary_pipeline_circulant():
     G = circulant(8, (1, 2))  # 4-regular, 3-connected
     O = pack_cycles(G, parity="even")
-    rep = half_arbitrary_pipeline(G, O, 2)
+    rep = half_pipeline(G, O, 2, arbitrary=True)
     assert verify_intersections(rep.factor, O, "hit-and-cohit")
 
 
 def test_arbitrary_pipelines_reject_two_cycles():
     inst = gen_doubled(doubled_triangle())
     with pytest.raises(GraphError):
-        third_arbitrary_pipeline(inst.graph, inst.cycles, 2)
+        third_pipeline(inst.graph, inst.cycles, None, 2, arbitrary=True)
     inst2 = gen_doubled(Multigraph(3, [(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(GraphError):
-        half_arbitrary_pipeline(inst2.graph, inst2.cycles, 2)
+        half_pipeline(inst2.graph, inst2.cycles, 2, arbitrary=True)
     # K5 with edges 0-2 and 1-3 traded for a second 0-1 and a second 2-3:
     # 4-regular and 3-connected, with the 0-1 pair prescribed as a 2-cycle.
     # Rejected with and without the precondition checks, as in the CLI.
@@ -161,7 +159,7 @@ def test_arbitrary_pipelines_reject_two_cycles():
     O = CycleSet(G, [(0, 1)])
     for checked in (True, False):
         with pytest.raises(GraphError, match="2-cycles are not allowed here"):
-            half_arbitrary_pipeline(G, O, 2, checked=checked)
+            half_pipeline(G, O, 2, checked=checked, arbitrary=True)
         with pytest.raises(GraphError, match="2-cycles are not allowed here"):
             orient_even_indegree(G, O, 2, checked=checked, arbitrary=True)
 
@@ -181,5 +179,5 @@ def test_checked_pipelines_never_compute_exact_connectivity(monkeypatch):
     assert verify_intersections(half_pipeline(G4, O4, 2).factor, O4, "hit-and-cohit")
     G3 = random_regular_multigraph(12, 3, seed=5, min_connectivity=3)
     O3 = pack_cycles(G3, parity=None)
-    rep = third_arbitrary_pipeline(G3, O3, 1)
+    rep = third_pipeline(G3, O3, None, 1, arbitrary=True)
     assert verify_intersections(rep.factor, O3, "hit-matching")

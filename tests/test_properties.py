@@ -5,6 +5,7 @@ search's memo of failed residual problems is checked against the same
 search with the memo off, on larger seeded instances."""
 
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -22,17 +23,17 @@ from cyclehit import (
     SearchBudget,
     constrained_perfect_matching,
     enumerate_t_factors,
+    gen_sec6_2k,
     is_k_connected,
     pack_cycles,
     t_factor_oracle,
-    two_edge_cut_sides,
     vertex_connectivity,
 )
 from cyclehit import solver
 from cyclehit.factors import _bipartite_perfect_matching
 from cyclehit.multigraph import bridge_sides
 from cyclehit.solver import _Clock, _DegreeSearch
-from conftest import naive_factors, naive_two_edge_cut_sides, recursive_bipartite_perfect_matching
+from conftest import naive_factors, recursive_bipartite_perfect_matching
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -75,12 +76,6 @@ def test_is_k_connected_matches_exact_connectivity(G):
     kappa = vertex_connectivity(G)
     for k in range(5):
         assert is_k_connected(G, k) == (kappa >= k), (k, kappa)
-
-
-@PROPERTY
-@given(multigraphs())
-def test_two_edge_cut_sides_matches_all_pairs_oracle(G):
-    assert _outcome(two_edge_cut_sides, G) == _outcome(naive_two_edge_cut_sides, G)
 
 
 @PROPERTY
@@ -308,11 +303,37 @@ def test_memo_byte_limit_changes_no_verdict():
             for mode in MODES:
                 with _memo_off():
                     off = t_factor_oracle(G, t, O, mode, budget=MEMO_BUDGET)
-                with mock.patch.object(solver, "_MEMO_BYTES", 300):
+                # The limit also pays for the hash table: about four keys.
+                with mock.patch.object(solver, "_MEMO_BYTES", 1500):
                     tiny = t_factor_oracle(G, t, O, mode, budget=MEMO_BUDGET)
                 if off.status != BUDGET_EXCEEDED:
                     assert _verdict(tiny) == _verdict(off), (seed, t, mode)
                 assert tiny.nodes_explored <= off.nodes_explored, (seed, t, mode)
+
+
+def test_memo_stays_within_its_byte_limit():
+    """_MEMO_BYTES bounds the keys and the hash table of the memo, the
+    table's next resize included: the search's peak traced memory exceeds
+    that of the memo-off search by at most the limit.  sec6-2k k=5 at t=4
+    fills a memo of these sizes."""
+    inst = gen_sec6_2k(5)
+
+    def peak(limit: int):
+        with mock.patch.object(solver, "_MEMO_BYTES", limit):
+            tracemalloc.start()
+            try:
+                verdict = t_factor_oracle(inst.graph, 4, inst.cycles, "hit")
+                return verdict, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    off, off_peak = peak(0)
+    assert off.status == UNSAT
+    for limit in (1 << 13, 1 << 14):
+        verdict, on_peak = peak(limit)
+        assert verdict.status == UNSAT
+        assert verdict.nodes_explored < off.nodes_explored, limit  # it recorded
+        assert on_peak - off_peak <= limit, limit
 
 
 def test_enumeration_keeps_no_memo():

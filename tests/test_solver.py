@@ -20,7 +20,7 @@ from cyclehit import (
     petersen_cycles,
     random_regular_multigraph,
     t_factor_oracle,
-    two_cut_recursion,
+    third_pipeline,
     verify_factor,
     verify_intersections,
 )
@@ -93,36 +93,28 @@ def test_constrained_perfect_matching_forced_edge():
         constrained_perfect_matching(c4())  # not cubic
 
 
-def test_two_cut_recursion_agrees_with_direct_search():
-    G = petersen()
-    O = petersen_cycles(G)
-    direct = constrained_perfect_matching(G, O)
-    recursive = two_cut_recursion(G, O)  # no 2-edge-cut: same base search
-    assert direct.status == recursive.status == SAT
-    assert direct.witness.edge_ids == recursive.witness.edge_ids
-
-
-def test_two_cut_recursion_on_cubic_graph_with_cut():
-    # two K4-minus-edge blocks joined by two edges: cubic, 2-edge-cut
-    edges = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3),
+# Two K4-minus-edge blocks joined by the edges 10 and 11: a cubic graph
+# with a 2-edge-cut.
+CUT_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3),
              (4, 5), (4, 6), (5, 7), (6, 7), (4, 7),
              (1, 5), (2, 6)]
-    G = Multigraph(8, edges)
+
+
+@pytest.mark.parametrize("cycles", [
+    [(0, 2, 4)],  # triangle 0-1-3 on one side of the cut
+    [(0, 2, 4), (5, 7, 9)],  # triangles on both sides
+], ids=["one-side", "both-sides"])
+def test_cubic_graph_with_a_two_edge_cut(cycles):
+    G = Multigraph(8, CUT_EDGES)
     assert G.is_regular() == 3
-    O = CycleSet(G, [(0, 2, 4)])  # triangle 0-1-3 on the near side
-    v = two_cut_recursion(G, O)
+    O = CycleSet(G, cycles)
+    v = constrained_perfect_matching(G, O)
     assert v.status == SAT
+    assert verify_factor(G, v.witness, 1)
     assert verify_intersections(v.witness, O, "hit")
-
-
-def test_two_cut_recursion_rejects_cut_splitting_cycles():
-    edges = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3),
-             (4, 5), (4, 6), (5, 7), (6, 7), (4, 7),
-             (1, 5), (2, 6)]
-    G = Multigraph(8, edges)
-    O = CycleSet(G, [(0, 2, 4), (5, 7, 9)])  # triangles on both sides
-    with pytest.raises(GraphError):
-        two_cut_recursion(G, O)
+    rep = third_pipeline(G, O, None, 1, checked=False, arbitrary=True)
+    assert verify_factor(G, rep.factor, 1)
+    assert verify_intersections(rep.factor, O, "hit-matching")
 
 
 def test_bipartite_alternating_matching():
