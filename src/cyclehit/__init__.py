@@ -21,7 +21,6 @@ from .expansion import (
 from .factors import (
     MODES,
     Factor,
-    first_unbalanced_vertex,
     parse_factor,
     serialize_factor,
     two_factorization,

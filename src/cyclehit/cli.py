@@ -187,6 +187,8 @@ def _cmd_solve(args) -> int:
     checked = not args.unchecked
     arbitrary = args.pipeline.endswith("-arb")
     if args.pipeline.startswith("third"):
+        if args.out_orientation is not None:
+            raise GraphError("--out-orientation is only supported by the half pipelines")
         report = third_pipeline(G, O, args.force_edge, args.t, budget=budget,
                                 checked=checked, arbitrary=arbitrary)
         mode = "hit-matching"
@@ -205,7 +207,7 @@ def _cmd_solve(args) -> int:
         raise AssertionError("solve output failed re-verification")
     if args.out:
         _write(args.out, serialize_factor(F))
-    if args.out_orientation and report.orientation is not None:
+    if args.out_orientation:
         _write(args.out_orientation, serialize_orientation(report.orientation))
     print(f"ok t={F.t} hits={mode} nodes={sum(report.solver_stats.values())}")
     return EXIT_OK

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .multigraph import FormatError, GraphError, Multigraph
+from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
 
 __all__ = [
     "CycleSet",
@@ -58,9 +58,13 @@ class CycleSet:
     __slots__ = ("host", "cycles")
 
     def __init__(self, host: Multigraph, cycles: Iterable[Sequence[int]]):
-        cycles = tuple(tuple(int(e) for e in c) for c in cycles)
+        # Each cycle is checked before the next is taken, so a GraphError
+        # concerns the cycle the iterable produced last (parse_cycles relies
+        # on this to name its line).
+        checked = []
         seen: set[int] = set()
         for c in cycles:
+            c = tuple(int(e) for e in c)
             for e in c:
                 if not (0 <= e < host.m):
                     raise GraphError(f"edge id {e} out of range")
@@ -68,8 +72,9 @@ class CycleSet:
                     raise GraphError(f"cycles are not edge-disjoint at edge {e}")
                 seen.add(e)
             cycle_vertices(host, c)
+            checked.append(c)
         self.host = host
-        self.cycles = cycles
+        self.cycles = tuple(checked)
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -140,51 +145,23 @@ def cycle_decomposition(G: Multigraph, O: CycleSet) -> CycleSet:
 
 
 def parse_cycles(text: str | bytes, host: Multigraph) -> CycleSet:
-    """Read a cycle set in the `.cyc` format against a host graph."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    k = None
-    cycles: list[tuple[int, ...]] = []
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if k is None:
-            if tokens[:2] != ["p", "cyc"] or len(tokens) != 3:
-                raise FormatError(line_no, f"expected header 'p cyc <k>', got {line!r}")
-            try:
-                k = int(tokens[2])
-            except ValueError:
-                raise FormatError(line_no, "cycle count must be an integer") from None
-            continue
-        if tokens[0] != "c" or len(tokens) < 2:
-            raise FormatError(line_no, f"expected cycle line 'c <len> <eids>', got {line!r}")
-        try:
-            length = int(tokens[1])
-            eids = tuple(int(t) for t in tokens[2:])
-        except ValueError:
-            raise FormatError(line_no, "cycle entries must be integers") from None
-        if len(eids) != length:
-            raise FormatError(line_no, f"declared length {length} but {len(eids)} edge ids")
-        if len(cycles) >= k:
-            raise FormatError(line_no, f"more than the declared {k} cycles")
-        cycles.append(eids)
-    if k is None:
-        raise FormatError(last_line or 1, "missing 'p cyc' header")
-    if len(cycles) != k:
-        raise FormatError(last_line or 1, f"declared {k} cycles but found {len(cycles)}")
+    """Read a cycle set in the `.cyc` format against a host graph: a header
+    ``p cyc <k>``, then k rows ``c <len> <eids>``."""
+    (line_no, _), line_nos, rows = _read_rows(text, "p cyc <k>", "c <len> <eids>", None)
+
+    def cycles():
+        nonlocal line_no
+        for line_no, (length, *eids) in zip(line_nos, rows):
+            if len(eids) != length:
+                raise FormatError(line_no, f"declared length {length} but {len(eids)} edge ids")
+            yield eids
+
     try:
-        return CycleSet(host, cycles)
+        return CycleSet(host, cycles())
     except GraphError as exc:
-        raise FormatError(last_line or 1, str(exc)) from exc
+        raise FormatError(line_no, str(exc)) from exc
 
 
 def serialize_cycles(O: CycleSet, comments: Iterable[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"p cyc {len(O.cycles)}")
-    for c in O.cycles:
-        lines.append("c " + " ".join([str(len(c))] + [str(e) for e in c]))
-    return "\n".join(lines) + "\n"
+    rows = (f"c {len(c)} " + " ".join(map(str, c)) for c in O.cycles)
+    return _write_rows(f"p cyc {len(O.cycles)}", rows, comments)

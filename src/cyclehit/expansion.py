@@ -48,30 +48,6 @@ def _cycle_pairs_at_vertices(
     return at_vertex
 
 
-def _assign_slots(
-    capacities: list[int], pairs: int
-) -> list[int] | None:
-    """Pick a distinct group with >= 2 free slots for each pair,
-    lowest-index first, with backtracking."""
-    chosen: list[int] = []
-    free = list(capacities)
-
-    def rec(remaining: int, start: int) -> bool:
-        if remaining == 0:
-            return True
-        for g in range(start, len(free)):
-            if free[g] >= 2:
-                free[g] -= 2
-                chosen.append(g)
-                if rec(remaining - 1, 0):
-                    return True
-                chosen.pop()
-                free[g] += 2
-        return False
-
-    return chosen if rec(pairs, 0) else None
-
-
 def cubic_expansion(
     G: Multigraph, O: CycleSet, t: int, family: str
 ) -> tuple[ExpansionMap, CycleSet]:
@@ -115,33 +91,31 @@ def cubic_expansion(
     ]
     block = len(internal)
 
+    # Each cycle pair at a vertex takes two slots of one group, lowest group
+    # first; the other edges fill the slots left, in group order.
+    # single_slots[p] lists the group of each slot left once p pairs are in.
+    pair_groups = [g for g, c in enumerate(group_capacity) for _ in range(c // 2)]
+    free = list(group_capacity)
+    single_slots = [[g for g, c in enumerate(free) for _ in range(c)]]
+    for g in pair_groups:
+        free[g] -= 2
+        single_slots.append([g for g, c in enumerate(free) for _ in range(c)])
     at_vertex = _cycle_pairs_at_vertices(G, O)
     # endpoint_vertex[(eid, v)] -> expanded vertex replacing endpoint v of eid
     endpoint_vertex: dict[tuple[int, int], int] = {}
     for v in range(G.n):
         offset = v * block
         pairs = [pair for _, pair in sorted(at_vertex[v])]
-        assignment = _assign_slots(group_capacity, len(pairs))
-        if assignment is None:
+        if len(pairs) > len(pair_groups):
             raise AssertionError(
                 f"vertex {v} carries {len(pairs)} cycle pairs but the gadget "
                 f"tree offers only groups of sizes {group_capacity}"
             )
-        free = list(group_capacity)
-        paired_eids = set()
-        for (e, f), g in zip(pairs, assignment):
-            free[g] -= 2
-            target = offset + group_vertex[g]
-            endpoint_vertex[(e, v)] = target
-            endpoint_vertex[(f, v)] = target
-            paired_eids.update((e, f))
-        singles = [e for e in G.incident(v) if e not in paired_eids]
-        gi = 0
-        for e in singles:
-            while free[gi] == 0:
-                gi += 1
-            free[gi] -= 1
-            endpoint_vertex[(e, v)] = offset + group_vertex[gi]
+        for (e, f), g in zip(pairs, pair_groups):
+            endpoint_vertex[(e, v)] = endpoint_vertex[(f, v)] = offset + group_vertex[g]
+        singles = [e for e in G.incident(v) if (e, v) not in endpoint_vertex]
+        for e, g in zip(singles, single_slots[len(pairs)], strict=True):
+            endpoint_vertex[(e, v)] = offset + group_vertex[g]
 
     new_edges = [
         (endpoint_vertex[(e, u)], endpoint_vertex[(e, v)])

@@ -11,14 +11,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .cycles import CycleSet
-from .multigraph import FormatError, GraphError, Multigraph
+from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
 
 __all__ = [
     "Factor",
     "MODES",
     "verify_factor",
     "verify_intersections",
-    "first_unbalanced_vertex",
     "two_factorization",
     "parse_factor",
     "serialize_factor",
@@ -53,28 +52,14 @@ class Factor:
         return len(self.edge_ids)
 
 
-def _edge_ids(F: Union[Factor, Iterable[int]]) -> list[int]:
-    return list(F.edge_ids) if isinstance(F, Factor) else list(F)
-
-
-def first_unbalanced_vertex(
-    G: Multigraph, F: Union[Factor, Iterable[int]], t: int
-) -> Optional[int]:
-    """Lowest vertex whose degree in F differs from t, or None."""
+def verify_factor(G: Multigraph, F: Union[Factor, Iterable[int]], t: int) -> bool:
+    """True iff every vertex of G is incident with exactly t edges of F."""
     deg = [0] * G.n
-    for e in _edge_ids(F):
+    for e in F.edge_ids if isinstance(F, Factor) else F:
         u, v = G.endpoints(e)
         deg[u] += 1
         deg[v] += 1
-    for v in range(G.n):
-        if deg[v] != t:
-            return v
-    return None
-
-
-def verify_factor(G: Multigraph, F: Union[Factor, Iterable[int]], t: int) -> bool:
-    """True iff every vertex of G is incident with exactly t edges of F."""
-    return first_unbalanced_vertex(G, F, t) is None
+    return deg.count(t) == G.n
 
 
 def verify_intersections(
@@ -227,46 +212,20 @@ def two_factorization(G: Multigraph) -> list[Factor]:
 
 
 def parse_factor(text: str | bytes, host: Multigraph) -> Factor:
-    """Read a factor in the `.fac` format against a host graph."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    t = count = None
+    """Read a factor in the `.fac` format against a host graph: a header
+    ``p fac <t> <count>``, then count rows ``f <eid>`` with strictly
+    increasing edge ids."""
+    (_, (t, _)), line_nos, rows = _read_rows(text, "p fac <t> <count>", "f <eid>", 1)
     ids: list[int] = []
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if t is None:
-            if tokens[:2] != ["p", "fac"] or len(tokens) != 4:
-                raise FormatError(line_no, f"expected header 'p fac <t> <count>', got {line!r}")
-            try:
-                t, count = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise FormatError(line_no, "header counts must be integers") from None
-            continue
-        if tokens[0] != "f" or len(tokens) != 2:
-            raise FormatError(line_no, f"expected factor line 'f <eid>', got {line!r}")
-        try:
-            eid = int(tokens[1])
-        except ValueError:
-            raise FormatError(line_no, "edge id must be an integer") from None
+    for line_no, (eid,) in zip(line_nos, rows):
         if ids and eid <= ids[-1]:
             raise FormatError(line_no, "edge ids must be strictly increasing")
         if not (0 <= eid < host.m):
             raise FormatError(line_no, f"edge id {eid} out of range")
         ids.append(eid)
-    if t is None:
-        raise FormatError(last_line or 1, "missing 'p fac' header")
-    if len(ids) != count:
-        raise FormatError(last_line or 1, f"declared {count} edges but found {len(ids)}")
     return Factor(host, t, tuple(ids))
 
 
 def serialize_factor(F: Factor, comments: Iterable[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"p fac {F.t} {len(F.edge_ids)}")
-    lines.extend(f"f {e}" for e in F.edge_ids)
-    return "\n".join(lines) + "\n"
+    rows = (f"f {e}" for e in F.edge_ids)
+    return _write_rows(f"p fac {F.t} {len(F.edge_ids)}", rows, comments)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from itertools import chain, islice
 from typing import Iterable, Optional
 
 import networkx as nx
@@ -42,6 +43,82 @@ class FormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def _read_rows(
+    text: str | bytes, header: str, row: str, width: Optional[int]
+) -> tuple[tuple[int, tuple[int, ...]], list[int], list[tuple[int, ...]]]:
+    """The grammar shared by the `.mg`, `.cyc`, `.fac` and `.ori` formats.
+
+    Blank lines and lines starting with '#' are skipped.  The first other
+    line is the header, shaped like the spec `header` ('p <tag>' and one
+    non-negative integer per placeholder, the last one the row count); each
+    further line is a row shaped like the spec `row` (its tag and `width`
+    integers, or at least one if width is None).  Returns (line_no, ints)
+    for the header, then the line numbers and the ints of the rows as two
+    parallel lists.  A FormatError names the offending line; the shape of
+    every line is checked before any entry is converted, so a file with
+    several faults may be reported at a later line than its first.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    spec = header.split()
+    row_tag = row.split()[0]
+    lines = enumerate(text.splitlines(), start=1)
+    line_no = 0
+    for line_no, raw in lines:
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "#":
+            break
+    else:
+        raise FormatError(line_no or 1, f"missing {' '.join(spec[:2])!r} header")
+    if tokens[:2] != spec[:2] or len(tokens) != len(spec):
+        raise FormatError(line_no, f"expected header {header!r}, got {raw.strip()!r}")
+    try:
+        counts = tuple(map(int, tokens[2:]))
+    except ValueError:
+        raise FormatError(line_no, "header counts must be integers") from None
+    if min(counts) < 0:
+        raise FormatError(line_no, "header counts must be non-negative")
+    head, count = (line_no, counts), counts[-1]
+    line_nos: list[int] = []
+    cells: list[list[str]] = []
+    for line_no, raw in lines:
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if tokens[0] != row_tag or (
+            len(tokens) < 2 if width is None else len(tokens) != width + 1
+        ):
+            raise FormatError(line_no, f"expected line {row!r}, got {raw.strip()!r}")
+        if len(cells) == count:
+            raise FormatError(line_no, f"more than the declared {count} rows")
+        del tokens[0]
+        line_nos.append(line_no)
+        cells.append(tokens)
+    # One map() over all entries, drained inside the try: a map() per row
+    # costs about as much again as the int() calls of a two-entry row.
+    try:
+        ints = iter([*map(int, chain.from_iterable(cells))])
+    except ValueError:
+        for bad_line, tokens in zip(line_nos, cells):
+            try:
+                [*map(int, tokens)]
+            except ValueError:
+                raise FormatError(bad_line, "entries must be integers") from None
+    if len(cells) != count:
+        raise FormatError(line_no, f"declared {count} rows but found {len(cells)}")
+    if width is None:  # .cyc: few rows, each as long as its cycle
+        return head, line_nos, [tuple(islice(ints, len(t))) for t in cells]
+    return head, line_nos, list(zip(*[ints] * width))
+
+
+def _write_rows(header: str, rows: Iterable[str], comments: Iterable[str]) -> str:
+    """The text of a file in the shared grammar of _read_rows."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(header)
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
 
 
 class Multigraph:
@@ -140,58 +217,24 @@ class Multigraph:
 
 
 def parse_multigraph(text: str | bytes) -> Multigraph:
-    """Read a graph in the `.mg` format.
-
-    Format: optional '#' comment lines, a header ``p mg <n> <m>``, then
-    exactly m lines ``e <u> <v>`` with 0 <= u,v < n and u != v.  Edge ids
-    are assigned in line order starting at 0.
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    n = m = None
-    edges: list[tuple[int, int]] = []
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if tokens[:2] != ["p", "mg"] or len(tokens) != 4:
-                raise FormatError(line_no, f"expected header 'p mg <n> <m>', got {line!r}")
-            try:
-                n, m = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise FormatError(line_no, "header counts must be integers") from None
-            if n < 0 or m < 0:
-                raise FormatError(line_no, "header counts must be non-negative")
-            continue
-        if tokens[0] != "e" or len(tokens) != 3:
-            raise FormatError(line_no, f"expected edge line 'e <u> <v>', got {line!r}")
-        try:
-            u, v = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise FormatError(line_no, "edge endpoints must be integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(line_no, f"vertex id out of range 0..{n - 1}")
-        if u == v:
-            raise FormatError(line_no, f"loop edge at vertex {u} is forbidden")
-        if len(edges) >= m:
-            raise FormatError(line_no, f"more than the declared {m} edge lines")
-        edges.append((u, v))
-    if n is None:
-        raise FormatError(last_line or 1, "missing 'p mg' header")
-    if len(edges) != m:
-        raise FormatError(last_line or 1, f"declared {m} edges but found {len(edges)}")
-    return Multigraph(n, edges)
+    """Read a graph in the `.mg` format: a header ``p mg <n> <m>``, then m
+    rows ``e <u> <v>`` with 0 <= u,v < n and u != v.  Edge ids are assigned
+    in row order starting at 0."""
+    (_, (n, _)), line_nos, rows = _read_rows(text, "p mg <n> <m>", "e <u> <v>", 2)
+    try:
+        return Multigraph(n, rows)
+    except GraphError:  # name the line of the first bad edge
+        for line_no, (u, v) in zip(line_nos, rows):
+            if not (0 <= u < n and 0 <= v < n):
+                raise FormatError(line_no, f"vertex id out of range 0..{n - 1}") from None
+            if u == v:
+                raise FormatError(line_no, f"loop edge at vertex {u} is forbidden") from None
+        raise
 
 
 def serialize_multigraph(G: Multigraph, comments: Iterable[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"p mg {G.n} {G.m}")
-    lines.extend(f"e {u} {v}" for u, v in G.edges)
-    return "\n".join(lines) + "\n"
+    rows = (f"e {u} {v}" for u, v in G.edges)
+    return _write_rows(f"p mg {G.n} {G.m}", rows, comments)
 
 
 def vertex_connectivity(G: Multigraph) -> int:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cycles import CycleSet
-from .multigraph import FormatError, GraphError, Multigraph
+from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
 
 __all__ = [
     "Orientation",
@@ -67,50 +67,24 @@ def verify_orientation(G: Multigraph, D: Orientation, O: CycleSet) -> bool:
 
 
 def parse_orientation(text: str | bytes, host: Multigraph) -> Orientation:
-    """Read an orientation in the `.ori` format against a host graph."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    m = None
-    head: dict[int, int] = {}
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if m is None:
-            if tokens[:2] != ["p", "ori"] or len(tokens) != 3:
-                raise FormatError(line_no, f"expected header 'p ori <m>', got {line!r}")
-            try:
-                m = int(tokens[2])
-            except ValueError:
-                raise FormatError(line_no, "edge count must be an integer") from None
-            if m != host.m:
-                raise FormatError(line_no, f"orientation is for {m} edges, host has {host.m}")
-            continue
-        if tokens[0] != "o" or len(tokens) != 3:
-            raise FormatError(line_no, f"expected line 'o <eid> <head>', got {line!r}")
-        try:
-            eid, h = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise FormatError(line_no, "entries must be integers") from None
-        if not (0 <= eid < host.m):
+    """Read an orientation in the `.ori` format against a host graph: a
+    header ``p ori <m>`` with m the host's edge count, then one row
+    ``o <eid> <head>`` for each edge."""
+    (line_no, (m,)), line_nos, rows = _read_rows(text, "p ori <m>", "o <eid> <head>", 2)
+    if m != host.m:
+        raise FormatError(line_no, f"orientation is for {m} edges, host has {host.m}")
+    head = [-1] * m
+    for line_no, (eid, h) in zip(line_nos, rows):
+        if not (0 <= eid < m):
             raise FormatError(line_no, f"edge id {eid} out of range")
-        if eid in head:
+        if head[eid] >= 0:
             raise FormatError(line_no, f"edge {eid} oriented twice")
         if h not in host.endpoints(eid):
             raise FormatError(line_no, f"vertex {h} is not an endpoint of edge {eid}")
         head[eid] = h
-    if m is None:
-        raise FormatError(last_line or 1, "missing 'p ori' header")
-    if len(head) != host.m:
-        raise FormatError(last_line or 1, f"only {len(head)} of {host.m} edges oriented")
-    return Orientation(host, tuple(head[e] for e in range(host.m)))
+    return Orientation(host, tuple(head))
 
 
 def serialize_orientation(D: Orientation, comments: Iterable[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"p ori {D.host.m}")
-    lines.extend(f"o {e} {h}" for e, h in enumerate(D.head))
-    return "\n".join(lines) + "\n"
+    rows = (f"o {e} {h}" for e, h in enumerate(D.head))
+    return _write_rows(f"p ori {D.host.m}", rows, comments)

@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the library's search engine so that
 agreement between the two is meaningful: subset enumeration runs on numpy
 bit matrices, matchings are enumerated by a plain recursive matcher, Kuhn's
-bipartite matching keeps its recursive form, connectivity is checked by
-removing every vertex subset, and 2-edge-cuts by removing every edge pair.
+bipartite matching keeps its recursive form, and connectivity is checked by
+removing every vertex subset.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from cyclehit import (
     cycle_vertices,
     gen_sec6_2k,
     parse_cycles,
-    serialize_cycles,
 )
 from conftest import doubled_triangle, k4
 
@@ -65,16 +64,6 @@ def test_cycle_decomposition_deterministic():
     a = cycle_decomposition(inst.graph, inst.cycles)
     b = cycle_decomposition(inst.graph, inst.cycles)
     assert a.cycles == b.cycles
-
-
-def test_parse_serialize_roundtrip():
-    G = doubled_triangle()
-    text = "p cyc 2\nc 3 0 1 2\nc 2 3 4\n"
-    with pytest.raises(FormatError):
-        parse_cycles(text, G)  # edges 3,4 are not parallel
-    text = "p cyc 2\nc 3 0 1 2\nc 3 3 4 5\n"
-    O = parse_cycles(text, G)
-    assert serialize_cycles(O) == text
 
 
 def test_parse_errors_carry_line_numbers():

@@ -5,12 +5,9 @@ import pytest
 from cyclehit import (
     CycleSet,
     Factor,
-    FormatError,
     GraphError,
     Multigraph,
     gen_thm5,
-    parse_factor,
-    serialize_factor,
     t_factor_oracle,
     two_factorization,
     verify_factor,
@@ -86,17 +83,6 @@ def test_two_factorization_partitions_thm5():
     factors = two_factorization(G)
     assert len(factors) == 2
     assert sorted(e for F in factors for e in F.edge_ids) == list(range(G.m))
-
-
-def test_parse_serialize_roundtrip():
-    G = k4()
-    text = "p fac 1 2\nf 0\nf 5\n"
-    F = parse_factor(text, G)
-    assert serialize_factor(F) == text
-    with pytest.raises(FormatError):
-        parse_factor("p fac 1 2\nf 5\nf 0\n", G)  # not increasing
-    with pytest.raises(FormatError):
-        parse_factor("p fac 1 2\nf 0\n", G)  # count mismatch
 
 
 def test_bipartite_matching_long_augmenting_path():

@@ -6,7 +6,6 @@ from cyclehit import (
     Multigraph,
     is_k_connected,
     parse_multigraph,
-    serialize_multigraph,
     vertex_connectivity,
 )
 from conftest import bowtie, c4, doubled_triangle, k4, naive_vertex_connectivity, prism
@@ -51,13 +50,6 @@ def test_parallel_edges_do_not_change_connectivity():
     single = Multigraph(3, [(0, 1), (1, 2), (0, 2)])
     doubled = doubled_triangle()
     assert vertex_connectivity(single) == vertex_connectivity(doubled) == 2
-
-
-def test_parse_serialize_roundtrip():
-    text = "p mg 3 3\ne 0 1\ne 1 2\ne 0 2\n"
-    G = parse_multigraph(text)
-    assert serialize_multigraph(G) == text
-    assert serialize_multigraph(parse_multigraph(serialize_multigraph(G))) == text
 
 
 def test_parse_comments_and_errors():

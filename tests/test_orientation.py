@@ -7,9 +7,7 @@ from cyclehit import (
     Orientation,
     orient_even_indegree,
     pack_cycles,
-    parse_orientation,
     random_regular_multigraph,
-    serialize_orientation,
     verify_orientation,
 )
 from conftest import c4
@@ -57,11 +55,3 @@ def test_orient_even_indegree_random_instance():
     D = orient_even_indegree(G, O, 2)
     assert verify_orientation(G, D, O)
     assert all(d % 2 == 0 for d in D.indegrees())
-
-
-def test_parse_serialize_roundtrip():
-    G = c4()
-    D = Orientation(G, (1, 2, 3, 3))
-    text = serialize_orientation(D)
-    assert parse_orientation(text, G).head == D.head
-    assert serialize_orientation(parse_orientation(text, G)) == text
