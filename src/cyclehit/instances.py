@@ -1,4 +1,7 @@
-"""Seeded random instances and greedy cycle packings for property tests."""
+"""Seeded random instances: pairing-model regular multigraphs and greedy
+packings of edge-disjoint cycles on them.  `cyclehit gen --family random`,
+the benchmark's set-up and the property tests build their random inputs
+here."""
 
 from __future__ import annotations
 
@@ -35,37 +38,80 @@ def random_regular_multigraph(
     raise GraphError(f"no valid instance found in {max_tries} tries")
 
 
+def _walk_lengths(
+    adj: list[list[tuple[int, int]]],
+    used: bytearray,
+    start: int,
+    horizon: int,
+    even: list[int],
+    odd: list[int],
+) -> list[int]:
+    """BFS from start over (vertex, walk parity) states, through unused
+    edges and vertices >= start, for at most horizon levels: even[v] and
+    odd[v] become the lengths of the shortest even and odd walks between
+    start and v, where these are at most horizon.  Every other entry must
+    be horizon + 1 and stays so.  Returns the vertices reached."""
+    even[start] = 0
+    reached = [start]
+    frontier = reached
+    level = 0
+    while frontier and level < horizon:
+        level += 1
+        d = odd if level & 1 else even
+        nxt = []
+        for u in frontier:
+            for e, w in adj[u]:
+                if not used[e] and w >= start and d[w] > level:
+                    d[w] = level
+                    nxt.append(w)
+        reached += nxt
+        frontier = nxt
+    return reached
+
+
 def _find_cycle(
-    G: Multigraph, used: bytearray, parity: Optional[int], max_len: int
+    adj: list[list[tuple[int, int]]],
+    used: bytearray,
+    start: int,
+    max_len: int,
+    parity: Optional[int],
+    bound: list[list[int]],
+    on_path: bytearray,
 ) -> Optional[tuple[int, ...]]:
-    """Lowest-start DFS for a simple cycle of length >= 3 over unused edges,
-    optionally restricted to a length parity.  Deterministic."""
-
-    def dfs(start: int, v: int, path_edges: list[int], on_path: set[int]) -> Optional[tuple[int, ...]]:
-        if len(path_edges) >= max_len:
-            return None
-        for e in G.incident(v):
-            if used[e] or e in path_edges:
+    """First simple cycle of length 3..max_len (of the given length parity,
+    if any) through start over unused edges, or None: the first that a DFS
+    from start meets when it tries each vertex's (edge, neighbour) pairs of
+    adj in order.  Vertices below start are blocked.  A step that makes the
+    path j edges long, ending at w, is taken only if j + bound[j][w] <=
+    max_len, where bound[j][w] is a lower bound on the length of a walk
+    from w back to start that gives the cycle its parity.  on_path is all
+    zero on entry and on return."""
+    path: list[int] = []
+    verts = [start]
+    its = [iter(adj[start])]
+    while its:
+        j = len(path) + 1
+        d, slack = bound[j], max_len - j
+        closes = j >= 3 and (parity is None or j & 1 == parity)
+        for e, w in its[-1]:
+            if used[e]:
                 continue
-            w = G.other_end(e, v)
-            if w == start and len(path_edges) >= 2:
-                length = len(path_edges) + 1
-                if parity is None or length % 2 == parity:
-                    return tuple(path_edges + [e])
-                continue
-            if w in on_path or w == start:
-                continue
-            on_path.add(w)
-            found = dfs(start, w, path_edges + [e], on_path)
-            on_path.remove(w)
-            if found is not None:
-                return found
-        return None
-
-    for start in range(G.n):
-        found = dfs(start, start, [], set())
-        if found is not None:
-            return found
+            if w == start:
+                if closes:
+                    for v in verts:
+                        on_path[v] = 0
+                    return (*path, e)
+            elif w > start and not on_path[w] and d[w] <= slack:
+                on_path[w] = 1
+                path.append(e)
+                verts.append(w)
+                its.append(iter(adj[w]))
+                break
+        else:
+            its.pop()
+            on_path[verts.pop()] = 0
+            if path:
+                path.pop()
     return None
 
 
@@ -74,17 +120,51 @@ def pack_cycles(
 ) -> CycleSet:
     """Greedy packing of pairwise edge-disjoint simple cycles of length >= 3.
 
-    parity: 'odd', 'even', or None for any length.  Cycles are extracted in
-    deterministic DFS order until none remain.
+    parity: 'odd', 'even', or None for any length.  Starting from each
+    vertex in turn, cycles through it are extracted in deterministic DFS
+    order until none remain.
+
+    The result is that of a plain DFS restarted from vertex 0 for every
+    cycle; only sub-trees without an admissible cycle are skipped.  The
+    used edges only grow, so a start vertex that has no admissible cycle
+    left never gets one later: the search resumes from the last start and
+    blocks every earlier one.  Each start's DFS is pruned by a distance
+    bound from a BFS over (vertex, walk parity) states; the BFS stops at a
+    horizon of (max_len + 1) // 2 levels, and a state it does not reach
+    counts as horizon + 1.  Every horizon gives the same cycles.  Nothing
+    recurses, so max_len may exceed the recursion limit.
     """
     parity_bit = {None: None, "odd": 1, "even": 0}[parity]
+    n = G.n
+    max_len = min(max_len, n)
+    horizon = (max_len + 1) // 2
+    far = horizon + 1
+    even, odd, either = [far] * n, [far] * n, [far] * n
+    if parity_bit is None:
+        bound = [either] * (max_len + 1)
+    else:
+        # A path of j edges needs a walk back of parity (parity - j).
+        bound = [odd if (parity_bit - j) & 1 else even for j in range(max_len + 1)]
+    adj = [[(e, G.other_end(e, v)) for e in G.incident(v)] for v in range(n)]
+    on_path = bytearray(n)
     used = bytearray(G.m)
     cycles = []
-    while True:
-        cyc = _find_cycle(G, used, parity_bit, max_len)
+    start = 0
+    while max_len >= 3 and start < n:
+        cyc = None
+        # A cycle through start leaves it by two unused edges to later vertices.
+        if sum(not used[e] and w > start for e, w in adj[start]) >= 2:
+            reached = _walk_lengths(adj, used, start, horizon, even, odd)
+            if parity_bit is None:
+                for v in reached:
+                    either[v] = min(even[v], odd[v])
+            cyc = _find_cycle(adj, used, start, max_len, parity_bit, bound, on_path)
+            for v in reached:
+                even[v] = odd[v] = either[v] = far
         if cyc is None:
-            break
-        for e in cyc:
-            used[e] = 1
-        cycles.append(cyc)
+            start += 1
+        else:
+            for e in cyc:
+                used[e] = 1
+            cycles.append(cyc)
     return CycleSet(G, cycles)

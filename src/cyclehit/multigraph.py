@@ -12,8 +12,6 @@ from collections import defaultdict
 from itertools import chain, islice
 from typing import Iterable, Optional
 
-import networkx as nx
-
 __all__ = [
     "FormatError",
     "GraphError",
@@ -114,8 +112,13 @@ def _read_rows(
 
 
 def _write_rows(header: str, rows: Iterable[str], comments: Iterable[str]) -> str:
-    """The text of a file in the shared grammar of _read_rows."""
+    """The text of a file in the shared grammar of _read_rows.  Raises
+    ValueError for a comment that _read_rows would split into more than
+    one line."""
     lines = [f"# {c}" for c in comments]
+    for line in lines:
+        if line.splitlines() != [line]:
+            raise ValueError(f"comment {line[2:]!r} contains a line break")
     lines.append(header)
     lines.extend(rows)
     return "\n".join(lines) + "\n"
@@ -250,6 +253,8 @@ def vertex_connectivity(G: Multigraph) -> int:
     adj = {(min(u, v), max(u, v)) for u, v in G.edges}
     if len(adj) == G.n * (G.n - 1) // 2:
         return G.n - 1
+    import networkx as nx  # only `cyclehit check` needs it
+
     H = nx.Graph()
     H.add_nodes_from(range(G.n))
     H.add_edges_from(adj)

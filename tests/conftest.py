@@ -221,3 +221,50 @@ def prism(k: int) -> Multigraph:
     for i in range(k):
         edges += [(i, (i + 1) % k), (k + i, k + (i + 1) % k), (i, k + i)]
     return Multigraph(2 * k, edges)
+
+
+# ------------------------------------------------- cycle packing oracle
+
+def reference_pack_cycles(
+    G: Multigraph, parity: str | None = "odd", max_len: int = 9
+) -> list[tuple[int, ...]]:
+    """instances.pack_cycles in its first form: a recursive DFS that restarts
+    from vertex 0 for every cycle, with no pruning; returns the cycles as
+    edge-id tuples."""
+    parity_bit = {None: None, "odd": 1, "even": 0}[parity]
+    used = bytearray(G.m)
+
+    def dfs(start, v, path_edges, on_path):
+        if len(path_edges) >= max_len:
+            return None
+        for e in G.incident(v):
+            if used[e] or e in path_edges:
+                continue
+            w = G.other_end(e, v)
+            if w == start and len(path_edges) >= 2:
+                length = len(path_edges) + 1
+                if parity_bit is None or length % 2 == parity_bit:
+                    return tuple(path_edges + [e])
+                continue
+            if w in on_path or w == start:
+                continue
+            on_path.add(w)
+            found = dfs(start, w, path_edges + [e], on_path)
+            on_path.remove(w)
+            if found is not None:
+                return found
+        return None
+
+    def find_cycle():
+        for start in range(G.n):
+            found = dfs(start, start, [], set())
+            if found is not None:
+                return found
+        return None
+
+    cycles = []
+    while (cyc := find_cycle()) is not None:
+        for e in cyc:
+            used[e] = 1
+        cycles.append(cyc)
+    return cycles

@@ -130,3 +130,23 @@ def test_solved_instances_round_trip(n, seed, comments):
         text = serialize(obj)
         assert serialize(parse(text)) == text
         assert serialize(parse(serialize(obj, comments))) == text
+
+
+@pytest.mark.parametrize("fmt, comments", [
+    ("mg", ["two\nlines"]),
+    ("cyc", ["fine", "carriage\rreturn"]),
+    ("fac", ["crlf\r\n"]),
+    ("ori", ["form\x0cfeed"]),
+], ids=list(FORMATS))
+def test_comment_with_line_break_is_rejected(fmt, comments):
+    """A comment the reader would split into several lines is refused when
+    written, not at the next read."""
+    parse, serialize = FORMATS[fmt]
+    obj = parse({
+        "mg": "p mg 3 3\ne 0 1\ne 1 2\ne 0 2\n",
+        "cyc": "p cyc 1\nc 3 0 1 2\n",
+        "fac": "p fac 1 2\nf 0\nf 5\n",
+        "ori": "p ori 6\n" + K4_ORI + "o 5 3\n",
+    }[fmt])
+    with pytest.raises(ValueError, match="contains a line break"):
+        serialize(obj, comments)

@@ -1,0 +1,58 @@
+"""The random-instance generator and the greedy cycle packer.  The packer's
+pruned, resumable DFS must return exactly the cycles of the plain
+restart-from-vertex-0 search (conftest.reference_pack_cycles) for every
+graph, parity and length cap, and its depth must not grow the stack."""
+
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+from cyclehit import Multigraph, cycle_vertices, pack_cycles, random_regular_multigraph
+from conftest import reference_pack_cycles
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PARITIES = st.sampled_from(["odd", "even", None])
+
+
+@PROPERTY
+@given(st.integers(3, 6), st.integers(4, 14), st.integers(0, 10**6), PARITIES,
+       st.sampled_from([3, 4, 5, 9, "n"]))
+def test_pack_cycles_matches_reference_on_regular_graphs(r, n, seed, parity, max_len):
+    n += n * r % 2
+    G = random_regular_multigraph(n, r, seed)
+    max_len = n if max_len == "n" else max_len
+    assert list(pack_cycles(G, parity, max_len).cycles) == reference_pack_cycles(G, parity, max_len)
+
+
+@PROPERTY
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1))), max_size=3 * n),
+)), PARITIES, st.integers(0, 10))
+def test_pack_cycles_matches_reference_on_any_multigraph(graph, parity, max_len):
+    """Disconnected graphs, parallel edges, isolated vertices and caps
+    below 3 or above n included."""
+    n, steps = graph
+    G = Multigraph(n, [(u, (u + s) % n) for u, s in steps if s % n])
+    assert list(pack_cycles(G, parity, max_len).cycles) == reference_pack_cycles(G, parity, max_len)
+
+
+def test_pack_cycles_long_cycle_within_default_recursion_limit():
+    n = 1501
+    assert n > sys.getrecursionlimit()
+    C = Multigraph(n, [(i, (i + 1) % n) for i in range(n)])
+    O = pack_cycles(C, parity="odd", max_len=n)
+    assert [len(c) for c in O.cycles] == [n]
+    assert pack_cycles(C, parity="even", max_len=n).cycles == ()
+
+
+def test_pack_cycles_large_instance():
+    """A 4-regular graph with n=4000 packs to a valid edge-disjoint set of
+    odd cycles of length 3..9 in well under a second."""
+    G = random_regular_multigraph(4000, 4, 1)
+    O = pack_cycles(G, parity="odd")
+    assert len(O) > 0
+    assert all(len(c) % 2 == 1 and 3 <= len(c) <= 9 for c in O.cycles)
+    for c in O.cycles:
+        assert len(set(cycle_vertices(G, c))) == len(c)
+    assert len(O.edge_ids()) == sum(len(c) for c in O.cycles)
