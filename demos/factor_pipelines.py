@@ -27,7 +27,7 @@ print("Petersen, O = outer + inner 5-cycles")
 for e in (0, 7, 14):
     rep = third_pipeline(G, O, e, t=1)
     print(f"  forced edge {e:2d}: 1-factor {rep.factor.edge_ids} "
-          f"({rep.solver_stats['matching_nodes']} nodes)")
+          f"({rep.nodes} nodes)")
 
 # --- 2. orientation lemma + half pipeline on a random instance -----------
 H = random_regular_multigraph(10, 4, seed=42)

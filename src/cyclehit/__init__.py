@@ -75,7 +75,6 @@ from .solver import (
     OracleVerdict,
     SearchBudget,
     bipartite_alternating_matching,
-    constrained_perfect_matching,
     enumerate_t_factors,
     t_factor_oracle,
 )

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .cycles import CycleSet, parse_cycles, serialize_cycles
 from .factors import MODES, parse_factor, serialize_factor, verify_factor, verify_intersections
-from .families import gen_doubled, gen_sec6_2k, gen_thm4, gen_thm5, petersen, petersen_cycles
+from .families import FamilyInstance, gen_doubled, gen_sec6_2k, gen_thm4, gen_thm5, petersen, petersen_cycles
 from .instances import pack_cycles, random_regular_multigraph
 from .multigraph import FormatError, GraphError, Multigraph, parse_multigraph, serialize_multigraph, vertex_connectivity
 from .orientation import parse_orientation, serialize_orientation, verify_orientation
@@ -157,11 +157,7 @@ def _cmd_gen(args) -> int:
         inst = gen_doubled(_load_graph(args.base))
     elif args.family == "petersen":
         G = petersen()
-        _write(args.out, serialize_multigraph(G, comments=["family: name=petersen"]))
-        _write(args.cycles, serialize_cycles(petersen_cycles(G),
-                                             comments=["family: name=petersen"]))
-        print(f"gen petersen n={G.n} m={G.m} cycles=2")
-        return EXIT_OK
+        inst = FamilyInstance(G, petersen_cycles(G), {"name": "petersen"})
     else:  # random
         if args.r is None or args.n is None:
             raise GraphError("family random needs --n and --r")
@@ -209,7 +205,7 @@ def _cmd_solve(args) -> int:
         _write(args.out, serialize_factor(F))
     if args.out_orientation:
         _write(args.out_orientation, serialize_orientation(report.orientation))
-    print(f"ok t={F.t} hits={mode} nodes={sum(report.solver_stats.values())}")
+    print(f"ok t={F.t} hits={mode} nodes={report.nodes}")
     return EXIT_OK
 
 

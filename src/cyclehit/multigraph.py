@@ -261,37 +261,50 @@ def vertex_connectivity(G: Multigraph) -> int:
     return nx.node_connectivity(H)
 
 
-def _dfs_tree(
-    G: Multigraph, root: int, pre: list[int]
-) -> tuple[list[int], list[int]]:
-    """Iterative depth-first search from root over the vertices whose entry
-    in pre is negative.  Writes each reached vertex's preorder number into
-    pre and returns the vertices in preorder together with every vertex's
-    tree edge to its parent (-1 for the root and for unreached vertices)."""
+def _dfs(
+    G: Multigraph, roots: Iterable[int], pre: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Iterative depth-first search from each root in turn over the vertices
+    whose entry in pre is negative (Hopcroft and Tarjan, CACM 1973).  Writes
+    preorder numbers into pre, continuing across roots, and returns the
+    reached vertices in preorder, every vertex's tree edge to its parent (-1
+    for roots and unreached vertices) and its low-point: the lowest preorder
+    number an edge from its subtree reaches, ignoring every edge from the
+    vertex to its parent, so parallel copies of a tree edge count once."""
     edges, incident = G.edges, G._incident
-    pre[root] = 0
-    order = [root]
+    low = [0] * G.n
     parent_edge = [-1] * G.n
-    stack = [(root, iter(incident[root]))]
-    while stack:
-        v, todo = stack[-1]
-        for eid in todo:
-            a, b = edges[eid]
-            w = b if a == v else a
-            if pre[w] < 0:
-                pre[w] = len(order)
-                order.append(w)
-                parent_edge[w] = eid
-                stack.append((w, iter(incident[w])))
-                break
-        else:
-            stack.pop()
-    return order, parent_edge
+    order: list[int] = []
+    for root in roots:
+        if pre[root] >= 0:
+            continue
+        pre[root] = low[root] = len(order)
+        order.append(root)
+        stack = [(root, -1, iter(incident[root]))]
+        while stack:
+            v, p, todo = stack[-1]
+            for eid in todo:
+                a, b = edges[eid]
+                w = b if a == v else a
+                if pre[w] < 0:
+                    pre[w] = low[w] = len(order)
+                    order.append(w)
+                    parent_edge[w] = eid
+                    stack.append((w, v, iter(incident[w])))
+                    break
+                if w != p and pre[w] < low[v]:
+                    low[v] = pre[w]
+            else:
+                stack.pop()
+                if p >= 0 and low[v] < low[p]:
+                    low[p] = low[v]
+    return order, parent_edge, low
 
 
 def _cut_labels(G: Multigraph, order: list[int], parent_edge: list[int]) -> list[int]:
-    """Cycle-space edge labels of a connected graph, given a spanning tree as
-    returned by _dfs_tree (Pritchard and Thurimella, TALG 2011).
+    """Cycle-space edge labels of a connected graph, given the preorder and
+    tree edges of a spanning tree as returned by _dfs (Pritchard and
+    Thurimella, TALG 2011).
 
     Every non-tree edge gets a random 64-bit label, and every tree edge the
     XOR of the labels of the non-tree edges leaving its subtree.  A cycle
@@ -314,37 +327,33 @@ def _cut_labels(G: Multigraph, order: list[int], parent_edge: list[int]) -> list
     return label
 
 
-def _is_biconnected(G: Multigraph, removed: int = -1) -> bool:
-    """Whether G minus the vertex `removed` (none if -1) is connected and has
-    no articulation point; the remaining graph must have at least 3 vertices.
+def _biconnected_tree(
+    G: Multigraph, removed: int = -1
+) -> Optional[tuple[list[int], list[int]]]:
+    """The preorder and tree edges of a depth-first search of G minus the
+    vertex `removed` (none if -1), or None unless that graph is connected and
+    has no articulation point; it must have at least 3 vertices.
 
-    One depth-first search, then low-points in reverse preorder (Hopcroft and
-    Tarjan, CACM 1973): a non-root vertex p is an articulation point iff some
-    child's subtree has no edge to a proper ancestor of p, and the root iff
-    it has more than one child.  Parallel edges cannot hide a vertex cut.
+    A non-root vertex p is an articulation point iff some child v has
+    low[v] >= pre[p]: v's subtree has no edge to a proper ancestor of p.  The
+    root is one iff it has more than one child.  Parallel edges cannot hide a
+    vertex cut.
     """
     pre = [-1] * G.n
     if removed >= 0:
         pre[removed] = G.n  # never entered, and never lowers a low-point
     root = 1 if removed == 0 else 0
-    order, parent_edge = _dfs_tree(G, root, pre)
+    order, parent_edge, low = _dfs(G, (root,), pre)
     if len(order) < G.n - (removed >= 0):
-        return False
-    low = pre[:]
+        return None
     root_children = 0
-    for v in reversed(order[1:]):
-        for eid in G._incident[v]:
-            w = G.other_end(eid, v)
-            if pre[w] < low[v]:
-                low[v] = pre[w]
+    for v in order[1:]:
         p = G.other_end(parent_edge[v], v)
         if p == root:
             root_children += 1
         elif low[v] >= pre[p]:
-            return False
-        if low[v] < low[p]:
-            low[p] = low[v]
-    return root_children == 1
+            return None
+    return (order, parent_edge) if root_children == 1 else None
 
 
 def bridge_sides(G: Multigraph) -> list[tuple[int, int, int]]:
@@ -352,42 +361,21 @@ def bridge_sides(G: Multigraph) -> list[tuple[int, int, int]]:
     every p-v edge separates the depth-first subtree of v, which has size
     vertices, from the rest of its component.
 
-    One iterative depth-first search per component that takes low-points as
-    it leaves each vertex (Hopcroft and Tarjan, CACM 1973); v's low-point
-    ignores every edge from v to its parent, so parallel copies count once.
+    One _dfs over all components, then subtree sizes in reverse preorder:
+    a tree edge p-v is a bridge iff low[v] > pre[p].
     """
-    edges, incident = G.edges, G._incident
     pre = [-1] * G.n
-    low = [0] * G.n
+    order, parent_edge, low = _dfs(G, range(G.n), pre)
     size = [1] * G.n
     sides = []
-    count = 0
-    for root in range(G.n):
-        if pre[root] >= 0:
-            continue
-        pre[root] = low[root] = count
-        count += 1
-        stack = [(root, -1, iter(incident[root]))]
-        while stack:
-            v, p, todo = stack[-1]
-            for eid in todo:
-                a, b = edges[eid]
-                w = b if a == v else a
-                if pre[w] < 0:
-                    pre[w] = low[w] = count
-                    count += 1
-                    stack.append((w, v, iter(incident[w])))
-                    break
-                if w != p and pre[w] < low[v]:
-                    low[v] = pre[w]
-            else:
-                stack.pop()
-                if p >= 0:
-                    if low[v] > pre[p]:
-                        sides.append((p, v, size[v]))
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    size[p] += size[v]
+    for v in reversed(order):
+        eid = parent_edge[v]
+        if eid >= 0:
+            a, b = G.edges[eid]
+            p = b if a == v else a
+            if low[v] > pre[p]:
+                sides.append((p, v, size[v]))
+            size[p] += size[v]
     return sides
 
 
@@ -414,14 +402,14 @@ def _is_3_connected(G: Multigraph) -> bool:
     exactly, so the answer never depends on the labels.  On bounded degree
     this is O(n + m) unless labels collide or a 2-vertex cut is found.
     """
-    if not _is_biconnected(G):
+    tree = _biconnected_tree(G)
+    if tree is None:
         return False
-    order, parent_edge = _dfs_tree(G, 0, [-1] * G.n)
-    label = _cut_labels(G, order, parent_edge)
+    label = _cut_labels(G, *tree)
     cleared: set[int] = set()  # vertices v with G - v known 2-connected
 
     def clear(v: int) -> bool:
-        if not _is_biconnected(G, v):
+        if _biconnected_tree(G, v) is None:
             return False
         cleared.add(v)
         return True
@@ -469,7 +457,7 @@ def is_k_connected(G: Multigraph, k: int) -> bool:
     if k == 1:
         return G.is_connected()
     if k == 2:
-        return _is_biconnected(G)
+        return _biconnected_tree(G) is not None
     if k == 3:
         return _is_3_connected(G)
     return vertex_connectivity(G) >= k

@@ -13,7 +13,7 @@ exact search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cycles import CycleSet, cycle_decomposition, cycle_vertices
@@ -28,7 +28,7 @@ from .solver import (
     OracleVerdict,
     SearchBudget,
     bipartite_alternating_matching,
-    constrained_perfect_matching,
+    t_factor_oracle,
 )
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 @dataclass
 class PipelineReport:
     factor: Factor
-    solver_stats: dict[str, int] = field(default_factory=dict)
+    nodes: int = 0  # search nodes of the matching on the cubic expansion
     orientation: Optional[Orientation] = None
 
 
@@ -109,9 +109,7 @@ def third_pipeline(
         _require(0 <= e < G.m, f"edge id {e} out of range")
     _check_common(G, O, 3 * t, checked, arbitrary)
     xmap, induced = cubic_expansion(G, O, t, family="third")
-    verdict = constrained_perfect_matching(
-        xmap.expanded, induced, forced_edge=e, budget=budget
-    )
+    verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget, forced_edge=e)
     matching = _unwrap(verdict, "expanded matching instance")
     F = project_factor(xmap, matching, t)
     checks = {
@@ -121,7 +119,7 @@ def third_pipeline(
     }
     if not all(checks.values()):
         raise AssertionError(f"pipeline postcondition failed: {checks}")
-    return PipelineReport(factor=F, solver_stats={"matching_nodes": verdict.nodes_explored})
+    return PipelineReport(factor=F, nodes=verdict.nodes_explored)
 
 
 def orient_even_indegree(
@@ -165,7 +163,7 @@ def _orient(
     D = Orientation(G, tuple(head))
 
     xmap, induced = cubic_expansion(G, O, t, family="half")
-    verdict = constrained_perfect_matching(xmap.expanded, induced, budget=budget)
+    verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget)
     matching = set(_unwrap(verdict, "orientation matching instance"))
     flipped = D.flipped(e for e in range(G.m) if e in matching)
     if not verify_orientation(G, flipped, O):
@@ -194,7 +192,7 @@ def half_pipeline(
     }
     if not all(checks.values()):
         raise AssertionError(f"pipeline postcondition failed: {checks}")
-    return PipelineReport(factor=F, solver_stats={"matching_nodes": nodes}, orientation=D)
+    return PipelineReport(factor=F, nodes=nodes, orientation=D)
 
 
 def extend_factor(G: Multigraph, F: Factor, l: int) -> Factor:

@@ -1,6 +1,6 @@
 """Exact search engines: degree-constrained subgraphs with cycle-hitting
-constraints, constrained perfect matchings in cubic graphs, and the
-alternating matching of 2-regular bipartite graphs.
+constraints, optionally through a forced edge, and the alternating matching
+of 2-regular bipartite graphs.
 
 All searches branch on the lowest undecided edge id, include-branch first,
 and propagate forced decisions (degree bounds and per-cycle feasibility), so
@@ -33,7 +33,6 @@ __all__ = [
     "SearchBudget",
     "OracleVerdict",
     "BudgetExceededError",
-    "constrained_perfect_matching",
     "bipartite_alternating_matching",
     "t_factor_oracle",
     "enumerate_t_factors",
@@ -456,18 +455,30 @@ class _DegreeSearch:
                 return
 
 
-def _run(
+def t_factor_oracle(
     G: Multigraph,
     t: int,
-    O: Optional[CycleSet],
-    mode: str,
-    budget: Optional[SearchBudget],
-    forced: tuple[int, ...] = (),
+    O: Optional[CycleSet] = None,
+    mode: str = "none",
+    budget: Optional[SearchBudget] = None,
+    forced_edge: Optional[int] = None,
 ) -> OracleVerdict:
-    """Search for the first solution through every forced edge; a budget
-    stop is its own status, and a SAT witness is verified."""
+    """Exact backtracking oracle for t-factors meeting a cycle set, through
+    forced_edge if it is given.
+
+    SAT returns a verified witness, the first one in search order; UNSAT is
+    a proof of nonexistence (the space was exhausted); budget exhaustion is
+    reported as its own status, never as UNSAT.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if t < 0:
+        raise GraphError("t must be non-negative")
     if O is not None and O.host != G:
         raise GraphError("cycle set does not belong to this graph")
+    forced = () if forced_edge is None else (forced_edge,)
+    if forced and not 0 <= forced_edge < G.m:
+        raise GraphError(f"edge id {forced_edge} out of range")
     clock = _Clock(budget)
     engine = _DegreeSearch(G, t, tuple(O.cycles) if O is not None else (), mode, clock)
     try:
@@ -478,30 +489,10 @@ def _run(
         return OracleVerdict(UNSAT, None, clock.nodes)
     F = Factor(G, t, ids)
     if not verify_factor(G, F, t) or not F.edge_set().issuperset(forced):
-        raise AssertionError("search witness is not a t-factor through every forced edge")
+        raise AssertionError("search witness is not a t-factor through the forced edge")
     if O is not None and mode != "none" and not verify_intersections(F, O, mode):
         raise AssertionError("search witness violates the intersection mode")
     return OracleVerdict(SAT, F, clock.nodes)
-
-
-def t_factor_oracle(
-    G: Multigraph,
-    t: int,
-    O: Optional[CycleSet] = None,
-    mode: str = "none",
-    budget: Optional[SearchBudget] = None,
-) -> OracleVerdict:
-    """Exact backtracking oracle for t-factors meeting a cycle set.
-
-    SAT returns a verified witness; UNSAT is a proof of nonexistence (the
-    space was exhausted); budget exhaustion is reported as its own status,
-    never as UNSAT.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if t < 0:
-        raise GraphError("t must be non-negative")
-    return _run(G, t, O, mode, budget)
 
 
 def enumerate_t_factors(
@@ -517,20 +508,6 @@ def enumerate_t_factors(
     cycles = O.cycles if O is not None else ()
     engine = _DegreeSearch(G, t, tuple(cycles), mode, _Clock(None))
     return engine.enumerate()
-
-
-def constrained_perfect_matching(
-    G: Multigraph,
-    O: Optional[CycleSet] = None,
-    forced_edge: Optional[int] = None,
-    budget: Optional[SearchBudget] = None,
-) -> OracleVerdict:
-    """Perfect matching of a cubic graph through a forced edge and hitting
-    every prescribed cycle.  Exact: UNSAT only after exhausting the space."""
-    if G.is_regular() != 3:
-        raise GraphError("graph is not cubic")
-    forced = (forced_edge,) if forced_edge is not None else ()
-    return _run(G, 1, O, "hit", budget, forced)
 
 
 def bipartite_alternating_matching(G2: Multigraph) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ from cyclehit import (
     parse_multigraph,
     vertex_connectivity,
 )
+from cyclehit.multigraph import bridge_sides
 from conftest import bowtie, c4, doubled_triangle, k4, naive_vertex_connectivity, prism
 
 
@@ -75,3 +76,13 @@ def test_structural_checks_need_no_recursion_on_a_long_prism():
     H = Multigraph(2 * k, G.edges[:2] + G.edges[3:])
     assert is_k_connected(H, 2)
     assert not is_k_connected(H, 3)
+
+
+def test_bridge_sides_is_linear_in_the_number_of_components():
+    # Per-vertex arrays allocated once per component would make this
+    # quadratic: about a minute instead of well under a second.
+    k = 10**5
+    G = Multigraph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    sides = bridge_sides(G)
+    assert len(sides) == k
+    assert {(min(p, v), size) for p, v, size in sides} == {(2 * i, 1) for i in range(k)}

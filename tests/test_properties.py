@@ -21,7 +21,6 @@ from cyclehit import (
     GraphError,
     Multigraph,
     SearchBudget,
-    constrained_perfect_matching,
     enumerate_t_factors,
     gen_sec6_2k,
     is_k_connected,
@@ -200,7 +199,7 @@ def test_constrained_matching_matches_lex_first_oracle(instance, data):
     forced = data.draw(st.integers(0, G.m - 1))
     for edge in (None, forced):
         want = naive_factors(G, 1, O, "hit", forced_edge=edge)
-        got = constrained_perfect_matching(G, O, forced_edge=edge)
+        got = t_factor_oracle(G, 1, O, "hit", forced_edge=edge)
         assert _verdict(got) == _lex_first(want), edge
 
 
@@ -210,7 +209,7 @@ def test_forced_parallel_edge_keeps_its_witness():
     edge would pull edge 6 in too and the search would answer UNSAT."""
     G = Multigraph(6, [(5, 0), (3, 5), (0, 4), (5, 4), (3, 1), (2, 4), (2, 1), (1, 2), (3, 0)])
     assert G.is_regular() == 3
-    v = constrained_perfect_matching(G, forced_edge=7)
+    v = t_factor_oracle(G, 1, None, "hit", forced_edge=7)
     assert _verdict(v) == (SAT, (1, 2, 7))
     assert _lex_first(naive_factors(G, 1, None, "none", forced_edge=7)) == (SAT, (1, 2, 7))
 

@@ -11,7 +11,6 @@ from cyclehit import (
     Multigraph,
     SearchBudget,
     bipartite_alternating_matching,
-    constrained_perfect_matching,
     enumerate_t_factors,
     gen_sec6_2k,
     gen_thm4,
@@ -86,11 +85,16 @@ def test_constrained_perfect_matching_forced_edge():
     G = petersen()
     O = petersen_cycles(G)
     for e in range(G.m):
-        v = constrained_perfect_matching(G, O, forced_edge=e)
+        v = t_factor_oracle(G, 1, O, "hit", forced_edge=e)
         assert v.status == SAT
         assert e in v.witness.edge_ids
-    with pytest.raises(GraphError):
-        constrained_perfect_matching(c4())  # not cubic
+
+
+def test_oracle_rejects_an_out_of_range_forced_edge():
+    G = petersen()
+    for edge in (-1, G.m):  # as an index, -1 would force the last edge
+        with pytest.raises(GraphError, match=f"edge id {edge} out of range"):
+            t_factor_oracle(G, 1, petersen_cycles(G), "hit", forced_edge=edge)
 
 
 # Two K4-minus-edge blocks joined by the edges 10 and 11: a cubic graph
@@ -108,7 +112,7 @@ def test_cubic_graph_with_a_two_edge_cut(cycles):
     G = Multigraph(8, CUT_EDGES)
     assert G.is_regular() == 3
     O = CycleSet(G, cycles)
-    v = constrained_perfect_matching(G, O)
+    v = t_factor_oracle(G, 1, O, "hit")
     assert v.status == SAT
     assert verify_factor(G, v.witness, 1)
     assert verify_intersections(v.witness, O, "hit")
