@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .cycles import CycleSet, cycle_vertices
 from .factors import Factor
-from .gadgets import build_even_leaf_tree, build_gadget_tree
+from .gadgets import GadgetTree
 from .multigraph import GraphError, Multigraph
 from .orientation import Orientation, _cycle_is_oriented
 
@@ -49,29 +49,18 @@ def _cycle_pairs_at_vertices(
 
 
 def cubic_expansion(
-    G: Multigraph, O: CycleSet, t: int, family: str
+    G: Multigraph, O: CycleSet, tree: GadgetTree
 ) -> tuple[ExpansionMap, CycleSet]:
     """Replace every vertex by the interior of a gadget tree, yielding a
     cubic graph in which consecutive edges of each cycle stay adjacent.
 
-    family='third' uses the 3t-leaf claw-grown tree on a 3t-regular graph;
-    family='half' uses the 2t-leaf even tree on a 2t-regular graph, t even.
+    G must be L-regular for the L leaves of tree: third_pipeline passes the
+    3t-leaf claw-grown tree, the half orientation the 2t-leaf even tree.
     Returns the expansion map and the induced cycle set (same edge ids).
     """
-    if family == "third":
-        if t < 1:
-            raise GraphError("t must be positive")
-        required = 3 * t
-        tree = build_gadget_tree(t)
-    elif family == "half":
-        if t < 2 or t % 2 == 1:
-            raise GraphError("family 'half' needs an even t >= 2")
-        required = 2 * t
-        tree = build_even_leaf_tree(2 * t)
-    else:
-        raise GraphError(f"unknown expansion family {family!r}")
+    required = len(tree.leaves)
     if G.is_regular() != required:
-        raise GraphError(f"family {family!r} with t={t} needs a {required}-regular graph")
+        raise GraphError(f"a {required}-leaf gadget tree needs a {required}-regular graph")
     if O.host != G:
         raise GraphError("cycle set does not belong to this graph")
 

@@ -107,34 +107,23 @@ def build_gadget_tree(t: int) -> GadgetTree:
     """Canonical tree with 3t leaves, all internal degrees 3, and at most
     one lonely pendant edge.
 
-    Built inductively from the claw: at each step two claws are attached to
-    one leaf, merging the three leaves into a new internal vertex.  The
-    expansion leaf is the leaf of the lonely pendant edge when one exists,
-    otherwise the lowest-id leaf; this keeps the lonely count at 0 or 1.
+    Grown from the claw: each step attaches two claws to one leaf.  The
+    leaf of the lonely pendant edge is expanded when one exists, otherwise
+    the lowest leaf, which keeps the lonely count at 0 or 1.  Leaves are
+    made in increasing id order, two siblings at a time, so the lonely
+    leaf is always the lowest, and leaves are expanded first in, first out.
     """
     if t < 1:
         raise GraphError("t must be a positive integer")
     n = 4
     edges: list[tuple[int, int]] = [(0, 1), (0, 2), (0, 3)]
+    leaves = deque([1, 2, 3])
     for _ in range(t - 1):
-        T = Multigraph(n, edges)
-        lonely = lonely_pendant_edges(T)
-        if lonely:
-            u, v = T.endpoints(lonely[0])
-            leaf = u if T.degree(u) == 1 else v
-        else:
-            leaf = min(v for v in range(n) if T.degree(v) == 1)
+        leaf = leaves.popleft()
         c1, c2 = n, n + 3
-        edges.extend(
-            [
-                (leaf, c1),
-                (c1, n + 1),
-                (c1, n + 2),
-                (leaf, c2),
-                (c2, n + 4),
-                (c2, n + 5),
-            ]
-        )
+        edges += [(leaf, c1), (c1, n + 1), (c1, n + 2)]
+        edges += [(leaf, c2), (c2, n + 4), (c2, n + 5)]
+        leaves.extend((n + 1, n + 2, n + 4, n + 5))
         n += 6
     return _as_gadget_tree(n, edges)
 
@@ -143,36 +132,17 @@ def build_even_leaf_tree(L: int) -> GadgetTree:
     """Tree with L leaves (L even, >= 4), all internal degrees 3, and no
     lonely pendant edge.
 
-    Grown from the H-tree by repeatedly attaching two new leaves to each
-    member of the lowest-id sibling pair, so leaves always come in sibling
-    pairs and no pendant edge is ever lonely.
+    Grown from the H-tree by attaching two new leaves to each member of the
+    lowest-id sibling pair, (2, 3), then (4, 5), and so on, so leaves
+    always come in sibling pairs and no pendant edge is ever lonely.
     """
     if L < 4 or L % 2 == 1:
         raise GraphError("leaf count must be an even integer >= 4")
     n = 6
     edges: list[tuple[int, int]] = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
-    leaf_count = 4
-    while leaf_count < L:
-        T = Multigraph(n, edges)
-        pair = None
-        for v in range(n):
-            if T.degree(v) != 1:
-                continue
-            p = T.other_end(T.incident(v)[0], v)
-            sibs = [
-                w
-                for e in T.incident(p)
-                for w in (T.other_end(e, p),)
-                if w != v and T.degree(w) == 1
-            ]
-            if sibs:
-                pair = (v, min(sibs))
-                break
-        assert pair is not None  # sibling pairs always exist in this family
-        u, v = pair
-        edges.extend([(u, n), (u, n + 1), (v, n + 2), (v, n + 3)])
+    for u in range(2, L - 2, 2):
+        edges += [(u, n), (u, n + 1), (u + 1, n + 2), (u + 1, n + 3)]
         n += 4
-        leaf_count += 2
     return _as_gadget_tree(n, edges)
 
 

@@ -13,20 +13,22 @@ from .multigraph import GraphError, Multigraph, is_k_connected
 
 __all__ = ["random_regular_multigraph", "pack_cycles"]
 
+# Pairing-model draws random_regular_multigraph makes before it gives up.
+_MAX_TRIES = 10_000
+
 
 def random_regular_multigraph(
     n: int,
     r: int,
     seed: int,
     min_connectivity: int = 2,
-    max_tries: int = 10_000,
 ) -> Multigraph:
     """Pairing-model r-regular multigraph on n vertices, rejection-sampled
     until it is loop-free and meets the connectivity requirement."""
     if n * r % 2 == 1:
         raise GraphError("n*r must be even")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         stubs = [v for v in range(n) for _ in range(r)]
         rng.shuffle(stubs)
         pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
@@ -35,7 +37,7 @@ def random_regular_multigraph(
         G = Multigraph(n, pairs)
         if is_k_connected(G, min_connectivity):
             return G
-    raise GraphError(f"no valid instance found in {max_tries} tries")
+    raise GraphError(f"no valid instance found in {_MAX_TRIES} tries")
 
 
 def _walk_lengths(

@@ -19,6 +19,7 @@ from typing import Optional
 from .cycles import CycleSet, cycle_decomposition, cycle_vertices
 from .expansion import cubic_expansion, project_factor, split_expansion
 from .factors import Factor, two_factorization, verify_factor, verify_intersections
+from .gadgets import build_even_leaf_tree, build_gadget_tree
 from .multigraph import GraphError, Multigraph, is_k_connected
 from .orientation import Orientation, verify_orientation
 from .solver import (
@@ -108,7 +109,7 @@ def third_pipeline(
         _require(e is not None, "the third pipeline needs a forced edge")
         _require(0 <= e < G.m, f"edge id {e} out of range")
     _check_common(G, O, 3 * t, checked, arbitrary)
-    xmap, induced = cubic_expansion(G, O, t, family="third")
+    xmap, induced = cubic_expansion(G, O, build_gadget_tree(t))
     verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget, forced_edge=e)
     matching = _unwrap(verdict, "expanded matching instance")
     F = project_factor(xmap, matching, t)
@@ -162,7 +163,7 @@ def _orient(
             head[eid] = walk[(i + 1) % k]
     D = Orientation(G, tuple(head))
 
-    xmap, induced = cubic_expansion(G, O, t, family="half")
+    xmap, induced = cubic_expansion(G, O, build_even_leaf_tree(2 * t))
     verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget)
     matching = set(_unwrap(verdict, "orientation matching instance"))
     flipped = D.flipped(e for e in range(G.m) if e in matching)

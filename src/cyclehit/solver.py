@@ -455,6 +455,19 @@ class _DegreeSearch:
                 return
 
 
+def _engine(
+    G: Multigraph, t: int, O: Optional[CycleSet], mode: str, clock: _Clock
+) -> _DegreeSearch:
+    """The search for t-factors of G meeting O in mode, after the input checks."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if t < 0:
+        raise GraphError("t must be non-negative")
+    if O is not None and O.host != G:
+        raise GraphError("cycle set does not belong to this graph")
+    return _DegreeSearch(G, t, tuple(O.cycles) if O is not None else (), mode, clock)
+
+
 def t_factor_oracle(
     G: Multigraph,
     t: int,
@@ -470,17 +483,11 @@ def t_factor_oracle(
     a proof of nonexistence (the space was exhausted); budget exhaustion is
     reported as its own status, never as UNSAT.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if t < 0:
-        raise GraphError("t must be non-negative")
-    if O is not None and O.host != G:
-        raise GraphError("cycle set does not belong to this graph")
+    clock = _Clock(budget)
+    engine = _engine(G, t, O, mode, clock)
     forced = () if forced_edge is None else (forced_edge,)
     if forced and not 0 <= forced_edge < G.m:
         raise GraphError(f"edge id {forced_edge} out of range")
-    clock = _Clock(budget)
-    engine = _DegreeSearch(G, t, tuple(O.cycles) if O is not None else (), mode, clock)
     try:
         ids = engine.search(forced_in=forced)
     except BudgetExceededError:
@@ -503,11 +510,7 @@ def enumerate_t_factors(
 ) -> Iterator[tuple[int, ...]]:
     """All t-factors satisfying the mode, as sorted edge-id tuples, in
     lexicographic search order."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    cycles = O.cycles if O is not None else ()
-    engine = _DegreeSearch(G, t, tuple(cycles), mode, _Clock(None))
-    return engine.enumerate()
+    return _engine(G, t, O, mode, _Clock(None)).enumerate()
 
 
 def bipartite_alternating_matching(G2: Multigraph) -> tuple[int, ...]:

@@ -5,6 +5,8 @@ from cyclehit import (
     GraphError,
     Multigraph,
     Orientation,
+    build_even_leaf_tree,
+    build_gadget_tree,
     cubic_expansion,
     cycle_vertices,
     orient_even_indegree,
@@ -23,7 +25,7 @@ def test_cubic_expansion_third_on_cubic_graph():
     # expansion of a cubic graph is the graph itself up to vertex labels
     G = k4()
     O = CycleSet(G, [(0, 3, 1)])
-    xmap, induced = cubic_expansion(G, O, 1, family="third")
+    xmap, induced = cubic_expansion(G, O, build_gadget_tree(1))
     assert xmap.expanded.n == G.n and xmap.expanded.m == G.m
     assert xmap.expanded.is_regular() == 3
     assert induced.cycles == O.cycles
@@ -32,7 +34,7 @@ def test_cubic_expansion_third_on_cubic_graph():
 def test_cubic_expansion_half_doubled_triangle():
     G = doubled_triangle()
     O = CycleSet(G, [(0, 1, 2)])
-    xmap, induced = cubic_expansion(G, O, 2, family="half")
+    xmap, induced = cubic_expansion(G, O, build_even_leaf_tree(4))
     assert xmap.expanded.is_regular() == 3
     # the 4-leaf even tree has 2 internal vertices, so 3 vertices become 6
     assert xmap.expanded.n == 6
@@ -42,7 +44,7 @@ def test_cubic_expansion_half_doubled_triangle():
 def test_cubic_expansion_consecutive_cycle_edges_stay_adjacent():
     G = random_regular_multigraph(8, 6, seed=11)
     O = pack_cycles(G, parity="odd")
-    xmap, induced = cubic_expansion(G, O, 2, family="third")
+    xmap, induced = cubic_expansion(G, O, build_gadget_tree(2))
     assert xmap.expanded.is_regular() == 3
     for cyc in induced.cycles:
         cycle_vertices(xmap.expanded, cyc)  # raises if adjacency was broken
@@ -50,11 +52,9 @@ def test_cubic_expansion_consecutive_cycle_edges_stay_adjacent():
 
 def test_cubic_expansion_rejects_wrong_regularity():
     with pytest.raises(GraphError):
-        cubic_expansion(k4(), CycleSet(k4(), []), 2, family="third")
+        cubic_expansion(k4(), CycleSet(k4(), []), build_gadget_tree(2))
     with pytest.raises(GraphError):
-        cubic_expansion(doubled_triangle(), CycleSet(doubled_triangle(), []), 3, family="half")
-    with pytest.raises(GraphError):
-        cubic_expansion(k4(), CycleSet(k4(), []), 1, family="nope")
+        cubic_expansion(doubled_triangle(), CycleSet(doubled_triangle(), []), build_even_leaf_tree(6))
 
 
 def test_split_expansion_two_regular_input_is_identity_sized():
@@ -106,7 +106,7 @@ def test_project_factor_roundtrip():
     # the expansion project to a t-factor
     G = random_regular_multigraph(8, 6, seed=11)
     O = pack_cycles(G, parity="odd")
-    xmap, induced = cubic_expansion(G, O, 2, family="third")
+    xmap, induced = cubic_expansion(G, O, build_gadget_tree(2))
     v = t_factor_oracle(xmap.expanded, 1)
     assert v.status == "SAT"
     F = project_factor(xmap, v.witness.edge_ids, 2)

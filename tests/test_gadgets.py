@@ -89,3 +89,48 @@ def test_lonely_pendant_edges_plain_trees():
     assert lonely_pendant_edges(path4) == [0, 2]
     with pytest.raises(GraphError):
         lonely_pendant_edges(Multigraph(3, [(0, 1), (1, 2), (0, 2)]))
+
+
+def claw_grown_by_rule(t):
+    """The claw-grown tree by its inductive rule: expand the leaf of the
+    lonely pendant edge when one exists, otherwise the lowest leaf."""
+    n, edges = 4, [(0, 1), (0, 2), (0, 3)]
+    for _ in range(t - 1):
+        T = Multigraph(n, edges)
+        lonely = lonely_pendant_edges(T)
+        if lonely:
+            leaf = next(v for v in T.endpoints(lonely[0]) if T.degree(v) == 1)
+        else:
+            leaf = min(v for v in range(n) if T.degree(v) == 1)
+        edges += [(leaf, n), (n, n + 1), (n, n + 2)]
+        edges += [(leaf, n + 3), (n + 3, n + 4), (n + 3, n + 5)]
+        n += 6
+    return n, edges
+
+
+def even_leaf_by_rule(L):
+    """The even-leaf tree by its inductive rule: two new leaves on each
+    member of the lowest-id sibling pair."""
+    n, edges = 6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
+    for _ in range((L - 4) // 2):
+        T = Multigraph(n, edges)
+        parent = {
+            v: T.other_end(T.incident(v)[0], v)
+            for v in range(n)
+            if T.degree(v) == 1
+        }
+        u, v = min(
+            (u, v) for u in parent for v in parent if u < v and parent[u] == parent[v]
+        )
+        edges += [(u, n), (u, n + 1), (v, n + 2), (v, n + 3)]
+        n += 4
+    return n, edges
+
+
+def test_builders_follow_their_inductive_rules():
+    for t in range(1, 31):
+        T = build_gadget_tree(t)
+        assert (T.tree.n, list(T.tree.edges)) == claw_grown_by_rule(t), t
+    for L in range(4, 61, 2):
+        T = build_even_leaf_tree(L)
+        assert (T.tree.n, list(T.tree.edges)) == even_leaf_by_rule(L), L

@@ -14,6 +14,7 @@ from cyclehit import (
     enumerate_t_factors,
     gen_sec6_2k,
     gen_thm4,
+    gen_thm5,
     pack_cycles,
     petersen,
     petersen_cycles,
@@ -79,6 +80,22 @@ def test_enumerate_t_factors_counts():
     # every enumerated factor verifies
     for ids in enumerate_t_factors(k4(), 2):
         assert verify_factor(k4(), ids, 2)
+
+
+def test_entry_points_share_input_checks():
+    # Each bad input raises the same error from the oracle and from the
+    # enumeration, and the enumeration raises it at the call.
+    G = petersen()
+    bad = [
+        (1, gen_thm5(3).cycles, "hit", GraphError, "cycle set does not belong"),
+        (-1, None, "none", GraphError, "t must be non-negative"),
+        (1, None, "nope", ValueError, "unknown mode"),
+    ]
+    for t, O, mode, error, message in bad:
+        with pytest.raises(error, match=message):
+            t_factor_oracle(G, t, O, mode)
+        with pytest.raises(error, match=message):
+            enumerate_t_factors(G, t, O, mode)
 
 
 def test_constrained_perfect_matching_forced_edge():
