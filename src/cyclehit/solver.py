@@ -12,6 +12,13 @@ with the parity Tutte's f-factor theorem fixes.  It also remembers the
 residual problems it has proven to have no solution, and skips them when
 they come up again.  None of this changes a verdict or a witness; it only
 shrinks the search.
+
+In modes none and hit, t_factor_oracle pauses a search still undecided at
+node _LP_NODE for the LP relaxation (see relaxation): an exact Farkas
+certificate ends it UNSAT, an integral LP point that checks out is its
+witness, and otherwise the search resumes where it paused.  So the witness
+is the first solution in search order only when the search ends within
+_LP_NODE nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from . import relaxation
 from .cycles import CycleSet
 from .factors import MODES, Factor, verify_factor, verify_intersections
 from .multigraph import GraphError, Multigraph, bridge_sides
@@ -97,6 +105,9 @@ class _Clock:
 _UNDEC, _IN, _OUT = 0, 1, 2
 # bytes.translate table: 1 for a decided edge, 0 for an undecided one.
 _DECIDED = bytes([0, 1, 1]).ljust(256, b"\0")
+# Node at which t_factor_oracle's search pauses for the LP relaxation
+# (modes none and hit only); a search that ends by then is untouched.
+_LP_NODE = 256
 # Bytes one search may spend on its memo of failed residual problems, keys
 # and hash table together; once they are used up it stops recording, and
 # goes on looking up.
@@ -370,25 +381,41 @@ class _DegreeSearch:
     def witness(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.m) if self.state[e] == _IN)
 
-    def search(self, forced_in: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
+    def search(
+        self, forced_in: Iterable[int] = (), lp: bool = False
+    ) -> Optional[tuple[int, ...]]:
         """The first solution in search order with every forced edge IN, or
-        None once the space is exhausted."""
+        None once the space is exhausted.  With lp, a search still undecided
+        at node _LP_NODE pauses there for the LP relaxation: a Farkas
+        certificate ends it with None, an integral LP point that is a
+        solution is returned instead of the first one, and anything else
+        resumes the search where it paused."""
         forced = tuple(forced_in)
         self._build_pruning(forced)
         # Keys hold the degrees only while they fit in a byte.
         room = _MEMO_BYTES if isinstance(self.deg_in, bytearray) else 0
-        return next(self._solutions(forced, room), None)
+        for ids in self._solutions(forced, room, _LP_NODE if lp else None):
+            if ids is not None:
+                return ids
+            decided, ids = relaxation.decide(self.G, self.t, self.cycles, forced)
+            if decided:
+                return ids
+        return None
 
     def enumerate(self) -> Iterator[tuple[int, ...]]:
-        return self._solutions((), 0)
+        return self._solutions((), 0, None)
 
-    def _solutions(self, forced: tuple[int, ...], room: int) -> Iterator[tuple[int, ...]]:
+    def _solutions(
+        self, forced: tuple[int, ...], room: int, pause: Optional[int]
+    ) -> Iterator[Optional[tuple[int, ...]]]:
         """Every solution, in lexicographic search order: branch on the
         lowest undecided edge, IN first.  Iterative, so the depth of the
         search does not touch the interpreter stack.  Exhausted branch
         nodes go into the memo while it fits in `room` bytes; a caller
         that takes more than the first solution must pass 0, since a node
-        is recorded whenever its sub-trees are done."""
+        is recorded whenever its sub-trees are done.  Yields None once,
+        right after node `pause` is counted, and goes on from there when
+        resumed."""
         t = self.t
         if any(d < t for d in self.deg_und) or (self.G.n * t) % 2 == 1:
             return
@@ -429,6 +456,8 @@ class _DegreeSearch:
                 entry = key(e) if recorded[e] else None
                 if entry not in memo:
                     tick()
+                    if clock.nodes == pause:
+                        yield None
                     open_nodes.append((e, len(trail), clock.nodes, entry, False))
                     if assign(e, _IN):
                         e += 1
@@ -479,9 +508,12 @@ def t_factor_oracle(
     """Exact backtracking oracle for t-factors meeting a cycle set, through
     forced_edge if it is given.
 
-    SAT returns a verified witness, the first one in search order; UNSAT is
-    a proof of nonexistence (the space was exhausted); budget exhaustion is
-    reported as its own status, never as UNSAT.
+    SAT returns a verified witness; UNSAT is a proof of nonexistence (the
+    space was exhausted, or in modes none and hit an exact Farkas
+    certificate holds); budget exhaustion is reported as its own status,
+    never as UNSAT.  The witness is the first one in search order when the
+    search ends within _LP_NODE nodes; past that node, in modes none and
+    hit, it may be an integral point of the LP relaxation instead.
     """
     clock = _Clock(budget)
     engine = _engine(G, t, O, mode, clock)
@@ -489,7 +521,7 @@ def t_factor_oracle(
     if forced and not 0 <= forced_edge < G.m:
         raise GraphError(f"edge id {forced_edge} out of range")
     try:
-        ids = engine.search(forced_in=forced)
+        ids = engine.search(forced_in=forced, lp=mode in ("none", "hit"))
     except BudgetExceededError:
         return OracleVerdict(BUDGET_EXCEEDED, None, clock.nodes)
     if ids is None:

@@ -5,6 +5,7 @@ with wall-clock assertions where the criterion states one.
 """
 
 import time
+from unittest import mock
 
 import pytest
 
@@ -31,6 +32,7 @@ from cyclehit import (
     verify_intersections,
     verify_orientation,
 )
+from cyclehit import relaxation, solver
 from cyclehit.cli import main
 from conftest import (
     bowtie,
@@ -84,7 +86,7 @@ def test_criterion_1_petersen_all_edges(tmp_path, capsys):
 
 def test_criterion_2_threshold_thm5(capsys):
     """Hitting threshold t >= ceil(r/3) on the three-block family: UNSAT
-    below it and a verified SAT at it, for r = 5, 6, 7."""
+    below it and a verified SAT at it, for r = 5 to 9."""
     t0 = time.monotonic()
     i4 = gen_thm5(4)
     assert t_factor_oracle(i4.graph, 1, i4.cycles, "hit").status == UNSAT
@@ -92,7 +94,7 @@ def test_criterion_2_threshold_thm5(capsys):
     assert v.status == SAT
     i3 = gen_thm5(3)
     assert t_factor_oracle(i3.graph, 1, i3.cycles, "hit").status == SAT
-    for r in (5, 6, 7):
+    for r in (5, 6, 7, 8, 9):
         inst = gen_thm5(r)
         threshold = -(-r // 3)
         for t in range(1, threshold):
@@ -104,7 +106,42 @@ def test_criterion_2_threshold_thm5(capsys):
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     report(capsys, f"criterion 2: PASS (r=3 SAT@1, r=4 UNSAT@1/SAT@2, r=5,6 UNSAT@1/SAT@2, "
-                   f"r=7 UNSAT@1,2/SAT@3, {elapsed:.2f}s < 60s)")
+                   f"r=7,8,9 UNSAT@1,2/SAT@3, {elapsed:.2f}s < 60s)")
+
+
+def test_criterion_2_budget_before_the_lp_stage(tmp_path, capsys):
+    """A node budget that runs out before the LP stage's node is still a
+    budget stop, on thm5 r=7 t=2, which the stage proves UNSAT once the
+    budget reaches that node."""
+    g, c = tmp_path / "g.mg", tmp_path / "g.cyc"
+    assert main(["gen", "--family", "thm5", "--r", "7", "--out", str(g), "--cycles", str(c)]) == 0
+    argv = ["oracle", "--graph", str(g), "--cycles", str(c), "--t", "2", "--mode", "hit",
+            "--max-nodes"]
+    capsys.readouterr()
+    assert main(argv + [str(solver._LP_NODE - 1)]) == 3
+    assert capsys.readouterr().out == f"BUDGET nodes={solver._LP_NODE}\n"
+    assert main(argv + [str(solver._LP_NODE)]) == 1
+    assert capsys.readouterr().out == f"UNSAT nodes={solver._LP_NODE}\n"
+
+
+# (thm5 r, t, mode, status, witness, nodes) of searches that run past the LP
+# stage's node in the modes it skips, as the search alone answers them.
+SKIPPED_BY_LP = [
+    (5, 2, "hit-matching", UNSAT, None, 1499),
+    (6, 2, "hit-and-cohit", SAT, (0, 1, 4, 5, 10, 14, 19, 23, 24, 28, 33, 34, 37, 38, 43, 47, 48,
+                                  52, 57, 61, 66, 67, 70, 71, 73, 76, 80, 83, 84, 87), 840),
+]
+
+
+def test_criterion_2_lp_stage_skips_other_modes():
+    """hit-matching and hit-and-cohit searches never run the LP stage, and
+    keep the verdict, witness and node count of the search alone."""
+    with mock.patch.object(relaxation, "decide", side_effect=AssertionError("LP stage ran")):
+        for r, t, mode, status, witness, nodes in SKIPPED_BY_LP:
+            inst = gen_thm5(r)
+            v = t_factor_oracle(inst.graph, t, inst.cycles, mode)
+            got = (v.status, v.witness.edge_ids if v.witness else None, v.nodes_explored)
+            assert got == (status, witness, nodes), (r, t, mode)
 
 
 def test_criterion_3_unhittable_families(capsys):

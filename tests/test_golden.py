@@ -67,20 +67,56 @@ def test_golden(case, tmp_path):
     assert got == expected(case)
 
 
-def _update():
+def _update(cases: list[dict], target: Path):
+    """Rerun every case into a fresh tree, and let it replace target only
+    when every exit code matches its case; otherwise name each mismatch and
+    exit with target untouched."""
     import tempfile
 
-    shutil.rmtree(GOLDEN / "expected", ignore_errors=True)
-    for case in CASES:
-        with tempfile.TemporaryDirectory() as tmp:
-            rc, got = run_case(case, Path(tmp))
-        if rc != case["exit"]:
-            sys.exit(f"{case['name']}: exit {rc}, cases.json says {case['exit']}")
-        root = GOLDEN / "expected" / case["name"]
-        for name, text in got.items():
-            (root / name).parent.mkdir(parents=True, exist_ok=True)
-            (root / name).write_text(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp) / "expected"
+        wrong = []
+        for case in cases:
+            with tempfile.TemporaryDirectory() as work:
+                rc, got = run_case(case, Path(work))
+            if rc != case["exit"]:
+                wrong.append(f"{case['name']}: exit {rc}, cases.json says {case['exit']}")
+            root = fresh / case["name"]
+            for name, text in got.items():
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_text(text)
+        if wrong:
+            sys.exit("\n".join(wrong + [f"{target} is unchanged"]))
+        shutil.rmtree(target, ignore_errors=True)
+        shutil.copytree(fresh, target)
+
+
+def test_update_with_a_mismatch_leaves_expected_untouched(tmp_path):
+    """One case whose exit code disagrees with its entry stops the update
+    before it writes anything, and every mismatch is named."""
+    target = tmp_path / "expected"
+    shutil.copytree(GOLDEN / "expected" / CASES[0]["name"], target / CASES[0]["name"])
+    before = sorted((p.relative_to(target), p.read_text()) for p in target.rglob("*") if p.is_file())
+    wrong = [dict(CASES[1], exit=CASES[1]["exit"] + 1), dict(CASES[2], exit=CASES[2]["exit"] + 1)]
+    with pytest.raises(SystemExit) as stop:
+        _update([CASES[0], *wrong, CASES[3]], target)
+    assert all(case["name"] in str(stop.value) for case in wrong)
+    after = sorted((p.relative_to(target), p.read_text()) for p in target.rglob("*") if p.is_file())
+    assert after == before
+
+
+def test_update_replaces_expected_when_every_exit_matches(tmp_path):
+    target = tmp_path / "expected"
+    (target / "stale").mkdir(parents=True)
+    (target / "stale" / "stdout").write_text("old\n")
+    _update(CASES[:2], target)
+    assert sorted(p.name for p in target.iterdir()) == sorted(c["name"] for c in CASES[:2])
+    for case in CASES[:2]:
+        assert {
+            p.relative_to(target / case["name"]).as_posix(): p.read_text()
+            for p in (target / case["name"]).rglob("*") if p.is_file()
+        } == expected(case)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--update"]:
-    _update()
+    _update(CASES, GOLDEN / "expected")

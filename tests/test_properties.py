@@ -2,7 +2,8 @@
 brute-force oracles, on random small multigraphs: disconnected ones,
 parallel edges, bridges, prescribed 2-cycles and n <= 2 included.  The
 search's memo of failed residual problems is checked against the same
-search with the memo off, on larger seeded instances."""
+search with the memo off, on larger seeded instances, and the oracle's LP
+stage against the brute-force verdicts."""
 
 import random
 import tracemalloc
@@ -28,7 +29,7 @@ from cyclehit import (
     t_factor_oracle,
     vertex_connectivity,
 )
-from cyclehit import solver
+from cyclehit import relaxation, solver
 from cyclehit.factors import _bipartite_perfect_matching
 from cyclehit.multigraph import bridge_sides
 from cyclehit.solver import _Clock, _DegreeSearch
@@ -173,6 +174,30 @@ def test_search_matches_lex_first_oracle(instance):
             want = naive_factors(G, t, O, mode)
             assert _verdict(t_factor_oracle(G, t, O, mode)) == _lex_first(want), (t, mode)
             assert list(enumerate_t_factors(G, t, O, mode)) == want, (t, mode)
+
+
+@PROPERTY
+@given(factor_instances(), st.data(), st.sampled_from([0, 1, 2, 3, 5, None]))
+def test_lp_stage_is_sound(instance, data, pivots):
+    """With the LP stage at the first node and its simplex stopped after a
+    drawn number of pivots (None: as many as it takes), the oracle's verdict
+    in modes none and hit, for t <= 3, with and without a forced edge, is
+    the brute-force verdict, and every witness is a brute-force solution.
+    Only the exact check proves UNSAT, whatever duals the simplex stopped
+    at, and an LP point is a witness only once it checks out."""
+    G, O = instance
+    edges = (None,) + ((data.draw(st.integers(0, G.m - 1)),) if G.m else ())
+    cap = relaxation._LP_MAX_PIVOTS if pivots is None else pivots
+    with mock.patch.object(solver, "_LP_NODE", 1), \
+            mock.patch.object(relaxation, "_LP_MAX_PIVOTS", cap):
+        for t in range(4):
+            for mode in ("none", "hit"):
+                factors = naive_factors(G, t, O, mode)
+                for edge in edges:
+                    want = [f for f in factors if edge is None or edge in f]
+                    v = t_factor_oracle(G, t, O, mode, forced_edge=edge)
+                    assert v.status == (SAT if want else UNSAT), (t, mode, edge)
+                    assert v.witness is None or v.witness.edge_ids in want, (t, mode, edge)
 
 
 @PROPERTY
