@@ -7,7 +7,6 @@ and an independent exact brute-force oracle.
 
 from .cycles import (
     CycleSet,
-    cycle_decomposition,
     cycle_vertices,
     parse_cycles,
     serialize_cycles,
@@ -56,6 +55,7 @@ from .multigraph import (
 )
 from .orientation import (
     Orientation,
+    balanced_orientation,
     parse_orientation,
     serialize_orientation,
     verify_orientation,

@@ -1,4 +1,4 @@
-"""Cycle sets over a host multigraph and deterministic cycle decomposition.
+"""Cycle sets over a host multigraph and the `.cyc` format.
 
 Cycles are stored as ordered lists of edge ids forming a closed walk with no
 repeated vertex.  Edge ids rather than vertex sequences are used because
@@ -14,7 +14,6 @@ from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_
 __all__ = [
     "CycleSet",
     "cycle_vertices",
-    "cycle_decomposition",
     "parse_cycles",
     "serialize_cycles",
 ]
@@ -93,55 +92,6 @@ class CycleSet:
 
     def __repr__(self) -> str:
         return f"CycleSet({[len(c) for c in self.cycles]})"
-
-
-def cycle_decomposition(G: Multigraph, O: CycleSet) -> CycleSet:
-    """Partition E(G) into cycles extending the given edge-disjoint cycles.
-
-    Every vertex must have even degree.  The remaining edges are peeled
-    deterministically: repeatedly walk from the lowest unused edge id,
-    always extending along the lowest unused incident edge, and extract the
-    cycle closed by the first repeated vertex.
-    """
-    if O.host != G:
-        raise GraphError("cycle set does not belong to this graph")
-    for v in range(G.n):
-        if G.degree(v) % 2 == 1:
-            raise GraphError(f"odd degree at vertex {v}")
-    used = bytearray(G.m)
-    for e in O.edge_ids():
-        used[e] = 1
-    result = list(O.cycles)
-    start = 0
-    while True:
-        while start < G.m and used[start]:
-            start += 1
-        if start == G.m:
-            break
-        # Greedy walk until a vertex repeats; extract the closed part only.
-        u0 = G.edges[start][0]
-        pos = {u0: 0}
-        walk_vertices = [u0]
-        walk_edges: list[int] = []
-        on_walk: set[int] = set()
-        cur = u0
-        e = start
-        while True:
-            walk_edges.append(e)
-            on_walk.add(e)
-            cur = G.other_end(e, cur)
-            if cur in pos:
-                cyc = tuple(walk_edges[pos[cur]:])
-                for f in cyc:
-                    used[f] = 1
-                result.append(cyc)
-                break
-            pos[cur] = len(walk_vertices)
-            walk_vertices.append(cur)
-            e = min(
-                f for f in G.incident(cur) if not used[f] and f not in on_walk
-            )
-    return CycleSet(G, result)
 
 
 def parse_cycles(text: str | bytes, host: Multigraph) -> CycleSet:

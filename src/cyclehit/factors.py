@@ -1,8 +1,8 @@
 """Factors (degree-t spanning subgraphs) and their verification predicates.
 
-Also houses 2-factorization of even-regular multigraphs via an Eulerian
-orientation and repeated perfect-matching peeling of the resulting regular
-bipartite graph.
+Also houses 2-factorization of even-regular multigraphs: the balanced
+orientation of `orientation.balanced_orientation`, then repeated
+perfect-matching peeling of the resulting regular bipartite graph.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .cycles import CycleSet
 from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
+from .orientation import balanced_orientation
 
 __all__ = [
     "Factor",
@@ -95,37 +96,6 @@ def verify_intersections(
     return True
 
 
-def _eulerian_heads(G: Multigraph) -> list[int]:
-    """Orient every edge along an Eulerian circuit of its component.
-
-    Requires all degrees even.  Deterministic: circuits start at the lowest
-    vertex of each component and always leave along the lowest unused edge.
-    """
-    heads = [-1] * G.m
-    used = bytearray(G.m)
-    ptr = [0] * G.n
-    for s in range(G.n):
-        if G.degree(s) == 0:
-            continue
-        if all(used[e] for e in G.incident(s)):
-            continue
-        stack = [s]
-        while stack:
-            v = stack[-1]
-            inc = G.incident(v)
-            while ptr[v] < len(inc) and used[inc[ptr[v]]]:
-                ptr[v] += 1
-            if ptr[v] == len(inc):
-                stack.pop()
-                continue
-            e = inc[ptr[v]]
-            used[e] = 1
-            w = G.other_end(e, v)
-            heads[e] = w
-            stack.append(w)
-    return heads
-
-
 def _bipartite_perfect_matching(
     n: int, out_edges: list[list[tuple[int, int]]]
 ) -> Optional[list[int]]:
@@ -177,9 +147,9 @@ def _bipartite_perfect_matching(
 def two_factorization(G: Multigraph) -> list[Factor]:
     """Split a 2k-regular multigraph into k edge-disjoint 2-factors.
 
-    Method: Eulerian orientation per component, then peel perfect matchings
-    of the tail/head bipartite graph; each matching gives every vertex one
-    out-edge and one in-edge, i.e. a 2-factor.
+    Method: balanced orientation (Eulerian circuits per component), then
+    peel perfect matchings of the tail/head bipartite graph; each matching
+    gives every vertex one out-edge and one in-edge, i.e. a 2-factor.
     """
     r = G.is_regular()
     if r is None:
@@ -189,7 +159,7 @@ def two_factorization(G: Multigraph) -> list[Factor]:
     k = r // 2
     if k == 0:
         return []
-    heads = _eulerian_heads(G)
+    heads = balanced_orientation(G).head
     remaining: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
     for e in range(G.m):
         head = heads[e]

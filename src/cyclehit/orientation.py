@@ -1,15 +1,17 @@
-"""Edge orientations of a multigraph and the even-indegree check."""
+"""Edge orientations of a multigraph: the balanced orientation that directs
+prescribed cycles, and the even-indegree check."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .cycles import CycleSet
+from .cycles import CycleSet, cycle_vertices
 from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
 
 __all__ = [
     "Orientation",
+    "balanced_orientation",
     "verify_orientation",
     "parse_orientation",
     "serialize_orientation",
@@ -44,6 +46,42 @@ class Orientation:
         for e in eids:
             head[e] = self.host.other_end(e, head[e])
         return Orientation(self.host, tuple(head))
+
+
+def balanced_orientation(G: Multigraph, O: Optional[CycleSet] = None) -> Orientation:
+    """An orientation with indegree = outdegree at every vertex in which
+    every cycle of O is directed.
+
+    Every vertex must have even degree.  Each cycle of O is directed along
+    its edge order.  The other edges follow Eulerian circuits of what is
+    left, deterministically: each starts at the lowest vertex with an
+    unoriented edge and always leaves along the lowest unoriented edge.
+    """
+    if O is not None and O.host != G:
+        raise GraphError("cycle set does not belong to this graph")
+    for v in range(G.n):
+        if G.degree(v) % 2 == 1:
+            raise GraphError(f"odd degree at vertex {v}")
+    head = [-1] * G.m
+    for cyc in O or ():
+        walk = cycle_vertices(G, cyc)
+        for i, e in enumerate(cyc):
+            head[e] = walk[(i + 1) % len(cyc)]
+    ptr = [0] * G.n
+    for s in range(G.n):
+        stack = [s]
+        while stack:
+            v = stack[-1]
+            inc = G.incident(v)
+            while ptr[v] < len(inc) and head[inc[ptr[v]]] >= 0:
+                ptr[v] += 1
+            if ptr[v] == len(inc):
+                stack.pop()
+                continue
+            e = inc[ptr[v]]
+            head[e] = G.other_end(e, v)
+            stack.append(head[e])
+    return Orientation(G, tuple(head))
 
 
 def _cycle_is_oriented(D: Orientation, cycle: tuple[int, ...]) -> bool:

@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import CycleSet, cycle_decomposition, cycle_vertices
+from .cycles import CycleSet
 from .expansion import cubic_expansion, project_factor, split_expansion
 from .factors import Factor, two_factorization, verify_factor, verify_intersections
 from .gadgets import build_even_leaf_tree, build_gadget_tree
 from .multigraph import GraphError, Multigraph, is_k_connected
-from .orientation import Orientation, verify_orientation
+from .orientation import Orientation, balanced_orientation, verify_orientation
 from .solver import (
     SAT,
     UNSAT,
@@ -134,10 +134,11 @@ def orient_even_indegree(
     """Orientation with every indegree even and no prescribed cycle oriented
     (G 2-connected and 2t-regular, t even).
 
-    Method: orient a full cycle decomposition cyclically, then flip the
-    original edges matched in a cycle-hitting perfect matching of the cubic
-    expansion.  With arbitrary=True, cycles of any length >= 3 are accepted
-    and G must be 3-connected; 2-cycles are rejected even when
+    Method: take the balanced orientation in which every prescribed cycle
+    is directed (balanced_orientation), then flip the original edges
+    matched in a cycle-hitting perfect matching of the cubic expansion by
+    even-leaf gadget trees.  With arbitrary=True, cycles of any length >= 3
+    are accepted and G must be 3-connected; 2-cycles are rejected even when
     checked=False.
     """
     return _orient(G, O, t, budget, checked, arbitrary)[0]
@@ -154,15 +155,7 @@ def _orient(
     """orient_even_indegree, plus the node count of its matching search."""
     _require(t >= 2 and t % 2 == 0, "t must be an even integer >= 2")
     _check_common(G, O, 2 * t, checked, arbitrary)
-    decomposition = cycle_decomposition(G, O)
-    head = [-1] * G.m
-    for cyc in decomposition.cycles:
-        walk = cycle_vertices(G, cyc)
-        k = len(cyc)
-        for i, eid in enumerate(cyc):
-            head[eid] = walk[(i + 1) % k]
-    D = Orientation(G, tuple(head))
-
+    D = balanced_orientation(G, O)
     xmap, induced = cubic_expansion(G, O, build_even_leaf_tree(2 * t))
     verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget)
     matching = set(_unwrap(verdict, "orientation matching instance"))

@@ -1,3 +1,6 @@
+import shutil
+from pathlib import Path
+
 import pytest
 
 from cyclehit import parse_factor, parse_multigraph, parse_orientation, parse_cycles
@@ -208,3 +211,95 @@ def test_main_repeats_in_one_process(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "invalid choice: 'frobnicate'" in err
     assert _build_parser() is _build_parser()
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+_PETERSEN = ("--graph", "inputs/petersen.mg", "--cycles", "inputs/petersen.cyc")
+_R4 = ("--graph", "inputs/r4.mg", "--cycles", "inputs/r4.cyc")
+_BOOM = "patched to fail"
+
+# (subcommand, argv after it, library function patched to raise
+# RuntimeError or None, exit code, stdout prefix, stderr prefix): every
+# exit code that each subcommand can give.  Only oracle and verify give 1
+# (solve reports an unsolvable instance as an input error), and only the
+# searching subcommands give 3.
+EXIT_CONTRACT = [
+    ("gen", ("--family", "petersen", "--out", "out/p.mg", "--cycles", "out/p.cyc"),
+     None, 0, "gen petersen n=10 m=15 cycles=2\n", ""),
+    ("gen", ("--family", "thm5", "--out", "out/p.mg", "--cycles", "out/p.cyc"),
+     None, 2, "", "error: family thm5 needs --r\n"),
+    ("gen", ("--family", "random", "--n", "10", "--r", "4", "--out", "out/p.mg",
+             "--cycles", "out/p.cyc"),
+     "cyclehit.instances._find_cycle", 4, "", "Traceback"),
+    ("solve", ("--pipeline", "half", *_R4, "--t", "2"),
+     None, 0, "ok t=2 hits=hit-and-cohit nodes=", ""),
+    ("solve", ("--pipeline", "half", *_R4, "--t", "3"),
+     None, 2, "", "error: t must be an even integer >= 2\n"),
+    ("solve", ("--pipeline", "half", *_R4, "--t", "2", "--max-nodes", "1"),
+     None, 3, "", "budget exceeded: orientation matching instance exceeded"),
+    ("solve", ("--pipeline", "third", *_PETERSEN, "--t", "1", "--force-edge", "0"),
+     "cyclehit.pipelines.project_factor", 4, "", "Traceback"),
+    ("oracle", ("--graph", "inputs/petersen.mg", "--t", "1"),
+     None, 0, "SAT nodes=", ""),
+    ("oracle", ("--graph", "inputs/thm5.mg", "--cycles", "inputs/thm5.cyc", "--t", "1",
+                "--mode", "hit"),
+     None, 1, "UNSAT nodes=", ""),
+    ("oracle", ("--graph", "inputs/missing.mg", "--t", "1"),
+     None, 2, "", "error: cannot read inputs/missing.mg"),
+    ("oracle", ("--graph", "inputs/thm4.mg", "--cycles", "inputs/thm4.cyc", "--t", "2",
+                "--mode", "hit", "--max-nodes", "5"),
+     None, 3, "BUDGET nodes=", ""),
+    ("oracle", ("--graph", "inputs/petersen.mg", "--t", "1"),
+     "cyclehit.solver._DegreeSearch.search", 4, "", "Traceback"),
+    ("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/petersen_t1.fac",
+                "--t", "1"),
+     None, 0, "true\n", ""),
+    ("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/bad.fac", "--t", "1"),
+     None, 1, "false\n", ""),
+    ("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/bad.fac", "--t", "2"),
+     None, 2, "", "error: factor file declares t=1, expected t=2\n"),
+    ("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/petersen_t1.fac",
+                "--t", "1"),
+     "cyclehit.cli.verify_factor", 4, "", "Traceback"),
+    ("orient", (*_R4, "--t", "2"),
+     None, 0, "ok t=2 oriented m=20\n", ""),
+    # Checks skipped, so the balanced orientation meets the odd degrees.
+    ("orient", (*_PETERSEN, "--t", "2", "--unchecked"),
+     None, 2, "", "error: odd degree at vertex 0\n"),
+    ("orient", (*_R4, "--t", "2", "--max-nodes", "1"),
+     None, 3, "", "budget exceeded: orientation matching instance exceeded"),
+    ("orient", (*_R4, "--t", "2"),
+     "cyclehit.pipelines.balanced_orientation", 4, "", "Traceback"),
+    ("check", ("--graph", "inputs/petersen.mg"),
+     None, 0, "graph n=10 m=15 regular=3 connectivity=3\n", ""),
+    ("check", ("--graph", "inputs/petersen.mg", "--orientation", "inputs/r4.ori"),
+     None, 2, "", "error: line 1: orientation is for 20 edges, host has 15\n"),
+    ("check", ("--graph", "inputs/petersen.mg"),
+     "cyclehit.cli.vertex_connectivity", 4, "", "Traceback"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, argv, broken, code, out_prefix, err_prefix", EXIT_CONTRACT,
+    ids=[f"{row[0]}-{row[3]}" for row in EXIT_CONTRACT],
+)
+def test_exit_code_contract(tmp_path, capsys, monkeypatch,
+                            subcommand, argv, broken, code, out_prefix, err_prefix):
+    shutil.copytree(GOLDEN_INPUTS, tmp_path / "inputs")
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    if broken is not None:
+        def fail(*args, **kwargs):
+            raise RuntimeError(_BOOM)
+
+        monkeypatch.setattr(broken, fail)
+    got, out, err = run(capsys, subcommand, *argv)
+    assert got == code
+    assert out.startswith(out_prefix)
+    assert err.startswith(err_prefix)
+    if code in (2, 4):
+        assert out == ""
+    if not err_prefix:
+        assert err == ""
+    if code == 4:
+        assert err.endswith(f"internal error: RuntimeError: {_BOOM}\n")

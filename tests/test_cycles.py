@@ -5,9 +5,7 @@ from cyclehit import (
     FormatError,
     GraphError,
     Multigraph,
-    cycle_decomposition,
     cycle_vertices,
-    gen_sec6_2k,
     parse_cycles,
 )
 from conftest import doubled_triangle, k4
@@ -42,28 +40,6 @@ def test_cycle_set_edge_disjointness():
     CycleSet(G, [(0, 3), (1, 4), (2, 5)])  # the three 2-cycles
     with pytest.raises(GraphError):
         CycleSet(G, [(0, 1, 2), (0, 3)])  # share edge 0
-
-
-def test_cycle_decomposition_covers_all_edges():
-    inst = gen_sec6_2k(2)
-    Q = cycle_decomposition(inst.graph, inst.cycles)
-    covered = sorted(e for c in Q.cycles for e in c)
-    assert covered == list(range(inst.graph.m))
-    # the prescribed cycles survive verbatim
-    assert Q.cycles[: len(inst.cycles)] == inst.cycles.cycles
-
-
-def test_cycle_decomposition_rejects_odd_degree():
-    G = Multigraph(2, [(0, 1)])
-    with pytest.raises(GraphError):
-        cycle_decomposition(G, CycleSet(G, []))
-
-
-def test_cycle_decomposition_deterministic():
-    inst = gen_sec6_2k(3)
-    a = cycle_decomposition(inst.graph, inst.cycles)
-    b = cycle_decomposition(inst.graph, inst.cycles)
-    assert a.cycles == b.cycles
 
 
 def test_parse_errors_carry_line_numbers():

@@ -7,7 +7,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from cyclehit import Multigraph, cycle_vertices, pack_cycles, random_regular_multigraph
+from cyclehit import Multigraph, cycle_vertices, instances, pack_cycles, random_regular_multigraph
 from conftest import reference_pack_cycles
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -56,3 +56,23 @@ def test_pack_cycles_large_instance():
     for c in O.cycles:
         assert len(set(cycle_vertices(G, c))) == len(c)
     assert len(O.edge_ids()) == sum(len(c) for c in O.cycles)
+
+
+def test_pack_cycles_bound_counts_unreached_states_past_the_horizon(monkeypatch):
+    """A state the BFS does not reach counts as horizon + 1, not horizon:
+    the cycles are the same either way, but the looser bound lets the DFS
+    step onto more vertices.  The packer's bytearray writes (path marks and
+    used edges) count that work: 358 here, against 442 with far = horizon."""
+    writes = 0
+
+    class Counting(bytearray):
+        def __setitem__(self, key, value):
+            nonlocal writes
+            writes += 1
+            super().__setitem__(key, value)
+
+    G = random_regular_multigraph(60, 3, 5)
+    monkeypatch.setattr(instances, "bytearray", Counting, raising=False)
+    O = pack_cycles(G, parity="odd")
+    assert list(O.cycles) == reference_pack_cycles(G, "odd")
+    assert writes == 358

@@ -1,16 +1,21 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclehit import (
     CycleSet,
     GraphError,
     Multigraph,
     Orientation,
+    balanced_orientation,
     orient_even_indegree,
     pack_cycles,
     random_regular_multigraph,
     verify_orientation,
 )
-from conftest import c4
+from cyclehit.orientation import _cycle_is_oriented
+from conftest import c4, k4
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def test_orientation_validation():
@@ -55,3 +60,67 @@ def test_orient_even_indegree_random_instance():
     D = orient_even_indegree(G, O, 2)
     assert verify_orientation(G, D, O)
     assert all(d % 2 == 0 for d in D.indegrees())
+
+
+@st.composite
+def even_instances(draw):
+    """An even-degree multigraph on up to 10 vertices and a cycle set on it.
+    The edges are closed walks of 2 to 6 steps (a 2-step walk is a pair of
+    parallel edges), so parallel edges, several components and isolated
+    vertices are common.  The cycles are those of pack_cycles(parity=None)
+    on these edges and, when one is drawn, a prescribed 2-cycle on two more
+    parallel edges.  Edge ids are shuffled."""
+    n = draw(st.integers(1, 10))
+    edges = []
+    for walk in draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=6),
+                              max_size=5)):
+        if all(walk[i - 1] != walk[i] for i in range(len(walk))):
+            edges += [(walk[i - 1], walk[i]) for i in range(len(walk))]
+    cycles = list(pack_cycles(Multigraph(n, edges), parity=None).cycles)
+    if n >= 2 and draw(st.booleans()):
+        u, v = draw(st.permutations(range(n)))[:2]
+        cycles.append((len(edges), len(edges) + 1))
+        edges += [(u, v), (v, u)]
+    order = draw(st.permutations(range(len(edges))))
+    new_id = {old: new for new, old in enumerate(order)}
+    G = Multigraph(n, [edges[old] for old in order])
+    return G, CycleSet(G, [tuple(new_id[e] for e in cyc) for cyc in cycles])
+
+
+@PROPERTY
+@given(even_instances())
+def test_balanced_orientation_is_balanced_and_directs_every_cycle(instance):
+    G, O = instance
+    D = balanced_orientation(G, O)
+    assert all(h in G.endpoints(e) for e, h in enumerate(D.head))
+    assert [2 * d for d in D.indegrees()] == G.degrees()
+    assert all(_cycle_is_oriented(D, c) for c in O.cycles)
+    assert balanced_orientation(G, O) == D
+    assert balanced_orientation(G) == balanced_orientation(G, CycleSet(G, []))
+
+
+def test_balanced_orientation_follows_cycles_and_lowest_edges():
+    """A prescribed cycle keeps its edge order; the rest is one Eulerian
+    circuit from vertex 0 that always leaves along its lowest free edge."""
+    G = Multigraph(3, [(0, 1), (1, 2), (0, 2), (0, 1), (1, 2), (0, 2)])
+    assert balanced_orientation(G).head == (1, 2, 0, 1, 2, 0)
+    O = CycleSet(G, [(5, 4, 3)])  # vertex walk (0, 2, 1)
+    assert balanced_orientation(G, O).head == (1, 2, 0, 0, 1, 2)
+
+
+_TRIANGLE_AND_PENDANT = Multigraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("G, O, message", [
+    (Multigraph(2, [(0, 1)]), None, "odd degree at vertex 0"),
+    (_TRIANGLE_AND_PENDANT, None, "odd degree at vertex 2"),
+    (k4(), CycleSet(k4(), [(0, 3, 1)]), "odd degree at vertex 0"),
+    (c4(), CycleSet(Multigraph(3, [(0, 1), (1, 2), (0, 2)]), [(0, 1, 2)]),
+     "cycle set does not belong to this graph"),
+    # The host is checked before the degrees.
+    (_TRIANGLE_AND_PENDANT, CycleSet(c4(), [(0, 1, 2, 3)]),
+     "cycle set does not belong to this graph"),
+], ids=["edge", "pendant", "cubic", "foreign-cycles", "foreign-cycles-odd-degree"])
+def test_balanced_orientation_input_errors(G, O, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        balanced_orientation(G, O)

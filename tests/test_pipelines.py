@@ -1,11 +1,13 @@
 import networkx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclehit import (
     CycleSet,
     Factor,
     GraphError,
     Multigraph,
+    SearchBudget,
     extend_factor,
     gen_doubled,
     gen_thm5,
@@ -181,3 +183,47 @@ def test_checked_pipelines_never_compute_exact_connectivity(monkeypatch):
     O3 = pack_cycles(G3, parity=None)
     rep = third_pipeline(G3, O3, None, 1, arbitrary=True)
     assert verify_intersections(rep.factor, O3, "hit-matching")
+
+
+# (pipeline, r, t, l, parity, min_connectivity, vertex counts): a third or
+# half pipeline, plain or arbitrary, on seeded random r-regular inputs.
+PIPELINE_CASES = [
+    ("third", 3, 1, None, "odd", 2, (4, 20)),
+    ("third", 6, 2, None, "odd", 2, (5, 12)),
+    ("half", 4, 2, None, "odd", 2, (3, 16)),
+    ("half", 4, 2, 4, "odd", 2, (3, 16)),
+    ("third-arb", 3, 1, None, None, 3, (4, 20)),
+    ("half-arb", 4, 2, None, None, 3, (5, 16)),
+]
+
+
+@pytest.mark.parametrize("case", PIPELINE_CASES, ids=lambda c: f"{c[0]}-r{c[1]}-l{c[3]}")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pipelines_return_verified_witnesses(case, data):
+    """Every pipeline, checked, on small seeded random inputs returns a
+    witness that the verification predicates accept, within a fixed node
+    budget; the half pipelines' orientation passes verify_orientation."""
+    pipeline, r, t, l, parity, connectivity, (lo, hi) = case
+    n = data.draw(st.integers(lo, hi).filter(lambda n: n * r % 2 == 0), label="n")
+    G = random_regular_multigraph(n, r, data.draw(st.integers(0, 10**6), label="seed"),
+                                  min_connectivity=connectivity)
+    O = pack_cycles(G, parity=parity)
+    arbitrary = pipeline.endswith("-arb")
+    budget = SearchBudget(max_nodes=20_000)
+    if pipeline.startswith("third"):
+        e = None if arbitrary else data.draw(st.integers(0, G.m - 1), label="forced edge")
+        F = third_pipeline(G, O, e, t, budget=budget, arbitrary=arbitrary).factor
+        assert e is None or e in F.edge_ids
+        mode = "hit-matching"
+    else:
+        report = half_pipeline(G, O, t, budget=budget, arbitrary=arbitrary)
+        D = orient_even_indegree(G, O, t, budget=budget, arbitrary=arbitrary)
+        assert D == report.orientation
+        assert verify_orientation(G, D, O)
+        F, mode = report.factor, "hit-and-cohit"
+    assert verify_factor(G, F, t) and verify_intersections(F, O, mode)
+    if l is not None:
+        L = extend_factor(G, F, l)
+        assert set(F.edge_ids) <= set(L.edge_ids)
+        assert verify_factor(G, L, l) and verify_intersections(L, O, "hit")
