@@ -27,13 +27,13 @@ Anything else decides nothing, and the search goes on.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterable, Optional
 
 from .factors import verify_factor
 from .multigraph import Multigraph
 
-# Column cap.  thm5 r=9 (216 columns, 57 rows) solves in about 30 ms, and
-# a random cubic graph with 255 edges in about 120 ms.
+# Column cap.  thm5 r=9 (216 columns, 57 rows) solves in about 20 ms, and
+# a random cubic graph with 255 edges in 50-100 ms, on a 2-core host.
 _LP_MAX_COLUMNS = 256
 # Pivots and bound flips one LP may take before it stops where it is.
 _LP_MAX_PIVOTS = 1000
@@ -90,7 +90,15 @@ def _phase1(
     revised simplex on an explicit basis inverse, with Dantzig's rule (ties
     to the lowest column), bounded columns, and at most _LP_MAX_PIVOTS
     steps.  Returns the duals of the rows and the values of cols where it
-    stopped, optimal or not."""
+    stopped, optimal or not.
+
+    Pricing is partial: a pivot moves the duals only on the rows where the
+    new inverse's pivot row is non-zero, so only the columns on those rows,
+    and the entering and leaving columns, whose bounds changed, are priced
+    again (after a bound flip, only the flipped column), by the same
+    expression, so every reduced cost is the float a full pricing gives.  The entering column's image under the inverse, the ratio
+    test and the update of the basic values run over the rows that can be
+    non-zero there, in increasing order, so ties break as over all rows."""
     R, J = len(b), len(cols)
     S = R - n
     # Columns: cols, then the surpluses, then the artificials.  Each has
@@ -106,19 +114,35 @@ def _phase1(
     basis = [J + S + i for i in range(R)]
     at_upper = [False] * len(cost)
     y = [1.0] * R + [0.0]  # duals: the costs of the basis times its inverse
+    on_row: list[list[int]] = [[] for _ in range(R + 1)]  # the columns on each row
+    for j, (u, v, w) in enumerate(rows):
+        for i in (u, v, w):
+            on_row[i].append(j)
+    # A superset of the rows where each column of the inverse is non-zero.
+    live = [{i} for i in range(R)] + [set()]
+    d: list[float] = []  # reduced costs
+    gain: list[float] = []  # how fast each column would lower the objective
+    stale: Optional[Iterable[int]] = None  # columns to price again; None for all
     for _ in range(_LP_MAX_PIVOTS):
-        d = [c - s * (y[u] + y[v] + y[w]) for c, s, (u, v, w) in zip(cost, coef, rows)]
-        gain = [dk if up else -dk for dk, up in zip(d, at_upper)]
+        if stale is None:
+            d = [c - s * (y[u] + y[v] + y[w]) for c, s, (u, v, w) in zip(cost, coef, rows)]
+            gain = [dk if up else -dk for dk, up in zip(d, at_upper)]
+        else:
+            for k in stale:
+                u, v, w = rows[k]
+                dk = d[k] = cost[k] - coef[k] * (y[u] + y[v] + y[w])
+                gain[k] = dk if at_upper[k] else -dk
         best = max(gain)
         if best <= _EPS:
             break
         j = gain.index(best)
         (u, v, w), s = rows[j], coef[j]
-        alpha = [s * (row[u] + row[v] + row[w]) for row in inv]
+        alpha = [(i, s * (inv[i][u] + inv[i][v] + inv[i][w]))
+                 for i in sorted(live[u] | live[v] | live[w])]
         sign = -1.0 if at_upper[j] else 1.0
-        theta, r, leave_upper = cap[j], -1, False
-        for i in range(R):
-            a = sign * alpha[i]
+        theta, r, p, leave_upper = cap[j], -1, 0.0, False
+        for i, ai in alpha:
+            a = sign * ai
             if a > _EPS:
                 limit, to_upper = beta[i] / a, False
             elif a < -_EPS and cap[basis[i]] < _INF:
@@ -126,30 +150,35 @@ def _phase1(
             else:
                 continue
             if limit < theta:
-                theta, r, leave_upper = max(limit, 0.0), i, to_upper
+                theta, r, p, leave_upper = max(limit, 0.0), i, ai, to_upper
         if theta == _INF:
             break  # cannot happen: the objective is bounded below by 0
         step = sign * theta
-        for i, a in enumerate(alpha):
+        for i, a in alpha:
             if a:
                 beta[i] -= step * a
         if r < 0:  # the entering column runs to its other bound
             at_upper[j] = not at_upper[j]
+            stale = (j,)
             continue
-        at_upper[basis[r]] = leave_upper
+        leaving = basis[r]
+        at_upper[leaving] = leave_upper
         beta[r] = (cap[j] if at_upper[j] else 0.0) + step
         at_upper[j] = False
         basis[r] = j
-        p = alpha[r]
         prow = inv[r] = [a / p for a in inv[r]]
         nz = [(k, c) for k, c in enumerate(prow) if c]
-        for i, f in enumerate(alpha):
+        moved = {i for i, f in alpha if f}
+        for i, f in alpha:
             if f and i != r:
                 row = inv[i]
                 for k, c in nz:
                     row[k] -= f * c
         for k, c in nz:
             y[k] += d[j] * c
+            live[k] |= moved
+        # A dense pivot row moves most duals; pricing every column is cheaper.
+        stale = None if 4 * len(nz) > R else {j, leaving}.union(*(on_row[k] for k, _ in nz))
     x = [cap[j] if at_upper[j] else 0.0 for j in range(J)]
     for i, j in enumerate(basis):
         if j < J:
@@ -160,17 +189,22 @@ def _phase1(
 def _certifies(
     cols: list[tuple[int, int, int]], upper: list[int], b: list[int], y: list[float], n: int
 ) -> bool:
-    """The exact Farkas check, in Fraction: y rounded to denominators of at
-    most 64, and the duals of the cycle rows (n and up) clamped at 0, since
-    only y_C >= 0 keeps y_C x(C) >= y_C for every feasible x.  Any y that
-    passes proves the LP infeasible, wherever the simplex stopped."""
+    """The exact Farkas check: y rounded to fractions of denominator at most
+    64, and the duals of the cycle rows (n and up) clamped at 0, since only
+    y_C >= 0 keeps y_C x(C) >= y_C for every feasible x.  It runs in
+    integers, on the rounded duals times their common denominator, which
+    keeps the strict inequality as it is.  Any y that passes proves the LP
+    infeasible, wherever the simplex stopped."""
     from fractions import Fraction
 
-    ys = [Fraction(v).limit_denominator(64) for v in y]
-    ys[n:] = [max(v, Fraction(0)) for v in ys[n:]]
-    most = Fraction(0)  # the largest x.A^T y over 0 <= x <= u
+    rounded = {v: Fraction(v).limit_denominator(64) for v in set(y)}
+    scale = math.lcm(*(f.denominator for f in rounded.values()))
+    ys = [f.numerator * (scale // f.denominator) for f in map(rounded.__getitem__, y)]
+    ys[n:] = [max(v, 0) for v in ys[n:]]
+    ys.append(0)  # the row of a column on no cycle
+    most = 0  # the largest x.A^T y over 0 <= x <= u, times scale
     for (u, v, r), cap in zip(cols, upper):
-        a = ys[u] + ys[v] + (ys[r] if r >= 0 else 0)
+        a = ys[u] + ys[v] + ys[r]
         if a > 0:
             most += cap * a
     return most < sum(bi * yi for bi, yi in zip(b, ys))

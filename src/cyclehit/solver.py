@@ -263,7 +263,16 @@ class _DegreeSearch:
         raise AssertionError("no undecided edge left in cycle")
 
     def assign(self, e0: int, val0: int) -> bool:
-        """Set an edge and propagate all consequences; False on conflict."""
+        """Set an edge and propagate all consequences; False on conflict.
+
+        A vertex's edges are scanned only when its state changes: when it
+        reaches t through an IN edge, when it becomes tight (its IN and
+        undecided edges number t) through an OUT edge, and at its first
+        decided edge, which covers t = 0 and vertices of degree t.  Once a
+        scan has queued every undecided edge of a vertex, a later edge there
+        adds nothing, so a rescan would only queue the same edges again.
+        The rules are monotone, so any order of propagation reaches the same
+        fixpoint, or a conflict."""
         state, trail, t = self.state, self.trail, self.t
         edges, incident = self.G.edges, self.G._incident
         deg_in, deg_und = self.deg_in, self.deg_und
@@ -307,16 +316,17 @@ class _DegreeSearch:
                 d_in, d_und = deg_in[w], deg_und[w]
                 if d_in > t or d_in + d_und < t:
                     return False
-                if d_und:
-                    if d_in == t:
-                        implied = _OUT
-                    elif d_in + d_und == t:
-                        implied = _IN
-                    else:
-                        continue
-                    for f in incident[w]:
-                        if state[f] == _UNDEC:
-                            pending.append((f, implied))
+                if not d_und:
+                    continue
+                if d_in == t and (val == _IN or d_und + 1 == len(incident[w])):
+                    implied = _OUT
+                elif d_in + d_und == t and (val == _OUT or d_und + 1 == len(incident[w])):
+                    implied = _IN
+                else:
+                    continue
+                for f in incident[w]:
+                    if state[f] == _UNDEC:
+                        pending.append((f, implied))
             sib = next_sib[e] if val == _OUT else prev_sib[e]
             if sib >= 0:
                 pending.append((sib, val))
@@ -356,8 +366,7 @@ class _DegreeSearch:
             self.edge_cycle, self.cyc_in, self.cyc_out, self.cyc_und
         )
         edge_sets, set_und, set_odd = self.edge_sets, self.set_und, self.set_odd
-        for _ in range(len(trail) - mark):
-            e = trail.pop()
+        for e in trail[mark:]:
             val = state[e]
             state[e] = _UNDEC
             u, v = edges[e]
@@ -377,6 +386,7 @@ class _DegreeSearch:
                 set_und[p] += 1
                 if val == _IN:
                     set_odd[p] ^= 1
+        del trail[mark:]
 
     def witness(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.m) if self.state[e] == _IN)
@@ -446,9 +456,8 @@ class _DegreeSearch:
         open_nodes: list[tuple[int, int, int, Optional[bytes], bool]] = []
         e = 0
         while True:
-            while e < m and state[e] != _UNDEC:
-                e += 1
-            if e == m:
+            e = state.find(_UNDEC, e)
+            if e < 0:
                 yield self.witness()
             else:
                 # Keys are only built on edges with one recorded; None is
@@ -490,6 +499,8 @@ def _engine(
     """The search for t-factors of G meeting O in mode, after the input checks."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if O is None and mode != "none":
+        raise GraphError(f"mode {mode} needs --cycles")
     if t < 0:
         raise GraphError("t must be non-negative")
     if O is not None and O.host != G:

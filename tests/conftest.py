@@ -268,3 +268,92 @@ def reference_pack_cycles(
             used[e] = 1
         cycles.append(cyc)
     return cycles
+
+
+# ------------------------------------------------- LP references
+
+def reference_phase1(
+    cols: list[tuple[int, int, int]], upper: list[int], b: list[int], n: int,
+    max_pivots: int,
+) -> tuple[list[float], list[float]]:
+    """relaxation._phase1 in its first form, which prices every column and
+    runs the ratio test over every row at every pivot; relaxation._phase1
+    must follow its pivot path to the same floats."""
+    inf, eps = float("inf"), 1e-9
+    R, J = len(b), len(cols)
+    S = R - n
+    rows = [(u, v, r if r >= 0 else R) for u, v, r in cols]
+    rows += [(n + k, R, R) for k in range(S)] + [(i, R, R) for i in range(R)]
+    coef = [1.0] * J + [-1.0] * S + [1.0] * R
+    cost = [0.0] * (J + S) + [1.0] * R
+    cap = [float(c) for c in upper] + [inf] * (S + R)
+    inv = [[1.0 if k == i else 0.0 for k in range(R + 1)] for i in range(R)]
+    beta = [float(v) for v in b]
+    basis = [J + S + i for i in range(R)]
+    at_upper = [False] * len(cost)
+    y = [1.0] * R + [0.0]
+    for _ in range(max_pivots):
+        d = [c - s * (y[u] + y[v] + y[w]) for c, s, (u, v, w) in zip(cost, coef, rows)]
+        gain = [dk if up else -dk for dk, up in zip(d, at_upper)]
+        best = max(gain)
+        if best <= eps:
+            break
+        j = gain.index(best)
+        (u, v, w), s = rows[j], coef[j]
+        alpha = [s * (row[u] + row[v] + row[w]) for row in inv]
+        sign = -1.0 if at_upper[j] else 1.0
+        theta, r, leave_upper = cap[j], -1, False
+        for i in range(R):
+            a = sign * alpha[i]
+            if a > eps:
+                limit, to_upper = beta[i] / a, False
+            elif a < -eps and cap[basis[i]] < inf:
+                limit, to_upper = (cap[basis[i]] - beta[i]) / -a, True
+            else:
+                continue
+            if limit < theta:
+                theta, r, leave_upper = max(limit, 0.0), i, to_upper
+        if theta == inf:
+            break
+        step = sign * theta
+        for i, a in enumerate(alpha):
+            if a:
+                beta[i] -= step * a
+        if r < 0:
+            at_upper[j] = not at_upper[j]
+            continue
+        at_upper[basis[r]] = leave_upper
+        beta[r] = (cap[j] if at_upper[j] else 0.0) + step
+        at_upper[j] = False
+        basis[r] = j
+        p = alpha[r]
+        prow = inv[r] = [a / p for a in inv[r]]
+        nz = [(k, c) for k, c in enumerate(prow) if c]
+        for i, f in enumerate(alpha):
+            if f and i != r:
+                row = inv[i]
+                for k, c in nz:
+                    row[k] -= f * c
+        for k, c in nz:
+            y[k] += d[j] * c
+    x = [cap[j] if at_upper[j] else 0.0 for j in range(J)]
+    for i, j in enumerate(basis):
+        if j < J:
+            x[j] = beta[i]
+    return y[:R], x
+
+
+def reference_certifies(
+    cols: list[tuple[int, int, int]], upper: list[int], b: list[int], y: list[float], n: int
+) -> bool:
+    """relaxation._certifies in its first form, summing Fractions."""
+    from fractions import Fraction
+
+    ys = [Fraction(v).limit_denominator(64) for v in y]
+    ys[n:] = [max(v, Fraction(0)) for v in ys[n:]]
+    most = Fraction(0)
+    for (u, v, r), cap in zip(cols, upper):
+        a = ys[u] + ys[v] + (ys[r] if r >= 0 else 0)
+        if a > 0:
+            most += cap * a
+    return most < sum(bi * yi for bi, yi in zip(b, ys))

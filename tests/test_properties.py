@@ -32,7 +32,7 @@ from cyclehit import (
 from cyclehit import relaxation, solver
 from cyclehit.factors import _bipartite_perfect_matching
 from cyclehit.multigraph import bridge_sides
-from cyclehit.solver import _Clock, _DegreeSearch
+from cyclehit.solver import _IN, _OUT, _UNDEC, _Clock, _DegreeSearch
 from conftest import naive_factors, recursive_bipartite_perfect_matching
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -200,6 +200,90 @@ def test_lp_stage_is_sound(instance, data, pivots):
                     assert v.witness is None or v.witness.edge_ids in want, (t, mode, edge)
 
 
+def _rescan(search: _DegreeSearch, owed: list[int]) -> list[tuple[str, int]]:
+    """Every rule that a naive rescan of search's state finds forcing an
+    undecided edge, or already broken, as (rule, index of its vertex, cycle,
+    edge or parity set).  owed holds each parity set's parity with no edge
+    decided.
+    Vertices with no decided edge are skipped: the search reaches a vertex
+    through its first decision there."""
+    G, t, state = search.G, search.t, search.state
+    found = []
+    for w in range(G.n):
+        ids = G.incident(w)
+        d_in = sum(state[f] == _IN for f in ids)
+        d_und = sum(state[f] == _UNDEC for f in ids)
+        if d_und == len(ids):
+            continue
+        if d_in > t or d_in + d_und < t or (d_und and t in (d_in, d_in + d_und)):
+            found.append(("vertex", w))
+    for ci, cyc in enumerate(search.cycles):
+        und = sum(state[e] == _UNDEC for e in cyc)
+        if und <= 1 and _IN not in (state[e] for e in cyc):
+            found.append(("hit", ci))
+        if search.cohit and und <= 1 and _OUT not in (state[e] for e in cyc):
+            found.append(("cohit", ci))
+        if search.matching:
+            found += [("matching", e) for e in cyc
+                      if state[e] == _IN and any(state[f] != _OUT for f in search.nbrs[e])]
+    for e in range(G.m):
+        sib = search.next_sib[e] if state[e] == _OUT else search.prev_sib[e]
+        if state[e] != _UNDEC and sib >= 0 and state[sib] != state[e]:
+            found.append(("sibling", e))
+    for p, cut in enumerate(search.set_cut):
+        und = sum(state[f] == _UNDEC for f in cut)
+        odd = (owed[p] + sum(state[f] == _IN for f in cut)) % 2
+        if und == 1 or (und == 0 and odd):
+            found.append(("parity", p))
+    return found
+
+
+def _recount(search: _DegreeSearch, owed: list[int]) -> tuple:
+    """search's counters, recounted from its edge states."""
+    def count(ids, val):
+        return sum(search.state[f] == val for f in ids)
+
+    incident = [search.G.incident(w) for w in range(search.G.n)]
+    return (
+        [count(ids, _IN) for ids in incident],
+        [count(ids, _UNDEC) for ids in incident],
+        *([count(cyc, val) for cyc in search.cycles] for val in (_IN, _OUT, _UNDEC)),
+        [count(cut, _UNDEC) for cut in search.set_cut],
+        [(odd + count(cut, _IN)) % 2 for odd, cut in zip(owed, search.set_cut)],
+    )
+
+
+@PROPERTY
+@given(factor_instances(), st.integers(0, 3), st.sampled_from(MODES), st.data())
+def test_propagation_reaches_its_fixpoint(instance, t, mode, data):
+    """After every assign that succeeds, in a drawn sequence of decisions
+    with conflicts undone, a naive rescan of every vertex, cycle, sibling
+    and parity rule forces no undecided edge and finds none broken, and the
+    counters equal a recount.  t = 0 and vertices of degree t are common
+    here, and only the first decision at such a vertex can scan it."""
+    G, O = instance
+    search = _DegreeSearch(G, t, tuple(O.cycles), mode, _Clock(None))
+    search._build_pruning(())
+    owed = list(search.set_odd)
+    for e, val in search.roots:
+        if not search.assign(e, val):
+            return
+    for _ in range(G.m):
+        undecided = [e for e in range(G.m) if search.state[e] == _UNDEC]
+        if not undecided:
+            break
+        e = data.draw(st.sampled_from(undecided))
+        mark = len(search.trail)
+        if not search.assign(e, data.draw(st.sampled_from((_IN, _OUT)))):
+            search.undo_to(mark)
+            continue
+        assert _rescan(search, owed) == [], (t, mode)
+        assert _recount(search, owed) == (
+            list(search.deg_in), search.deg_und, search.cyc_in, search.cyc_out,
+            search.cyc_und, search.set_und, search.set_odd,
+        ), (t, mode)
+
+
 @PROPERTY
 @given(factor_instances())
 def test_pruning_never_costs_nodes(instance):
@@ -234,7 +318,7 @@ def test_forced_parallel_edge_keeps_its_witness():
     edge would pull edge 6 in too and the search would answer UNSAT."""
     G = Multigraph(6, [(5, 0), (3, 5), (0, 4), (5, 4), (3, 1), (2, 4), (2, 1), (1, 2), (3, 0)])
     assert G.is_regular() == 3
-    v = t_factor_oracle(G, 1, None, "hit", forced_edge=7)
+    v = t_factor_oracle(G, 1, None, "none", forced_edge=7)
     assert _verdict(v) == (SAT, (1, 2, 7))
     assert _lex_first(naive_factors(G, 1, None, "none", forced_edge=7)) == (SAT, (1, 2, 7))
 

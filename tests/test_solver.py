@@ -90,6 +90,7 @@ def test_entry_points_share_input_checks():
         (1, gen_thm5(3).cycles, "hit", GraphError, "cycle set does not belong"),
         (-1, None, "none", GraphError, "t must be non-negative"),
         (1, None, "nope", ValueError, "unknown mode"),
+        (1, None, "hit", GraphError, "mode hit needs --cycles"),
     ]
     for t, O, mode, error, message in bad:
         with pytest.raises(error, match=message):
