@@ -7,8 +7,9 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from cyclehit import gen_sec6_2k, gen_thm4, gen_thm5, pack_cycles, random_regular_multigraph
-from cyclehit import relaxation
+from cyclehit import (
+    gen_sec6_2k, gen_thm4, gen_thm5, pack_cycles, random_regular_multigraph, relaxation,
+)
 from conftest import reference_certifies, reference_phase1
 from test_properties import factor_instances
 
