@@ -15,7 +15,7 @@ from .expansion import (
     ExpansionMap,
     cubic_expansion,
     project_factor,
-    split_expansion,
+    split_factor,
 )
 from .factors import (
     MODES,
@@ -74,7 +74,6 @@ from .solver import (
     BudgetExceededError,
     OracleVerdict,
     SearchBudget,
-    bipartite_alternating_matching,
     enumerate_t_factors,
     t_factor_oracle,
 )

@@ -1,5 +1,6 @@
-"""Graph surgeries: vertex replacement by tree interiors, orientation-class
-vertex splitting, and projection of matchings back to the original graph.
+"""Graph surgeries: vertex replacement by tree interiors, projection of
+matchings back to the original graph, and orientation-class vertex
+splitting, walked in the original graph without building the split graph.
 
 Original edges keep their ids in the expanded graph; gadget edges are
 appended after them.
@@ -14,12 +15,12 @@ from .cycles import CycleSet, cycle_vertices
 from .factors import Factor
 from .gadgets import GadgetTree
 from .multigraph import GraphError, Multigraph
-from .orientation import Orientation, _cycle_is_oriented
+from .orientation import Orientation
 
 __all__ = [
     "ExpansionMap",
     "cubic_expansion",
-    "split_expansion",
+    "split_factor",
     "project_factor",
 ]
 
@@ -119,13 +120,17 @@ def cubic_expansion(
     return ExpansionMap(G, expanded), CycleSet(expanded, O.cycles)
 
 
-def split_expansion(G: Multigraph, D: Orientation, O: CycleSet) -> ExpansionMap:
-    """Split every vertex into degree-2 vertices, each taking two of its
-    in-edges or two of its out-edges.
+def split_factor(G: Multigraph, D: Orientation, O: CycleSet, t: int) -> Factor:
+    """The t-factor of a 2t-regular graph G got by splitting every vertex
+    into degree-2 vertices, each taking two in-edges of D or two out-edges,
+    and keeping every other edge of each cycle of the resulting 2-regular
+    bipartite graph.
 
-    Cycle edges meeting a vertex in the same direction share a split vertex;
-    the rest are paired greedily by lowest edge id.  The result is a
-    2-regular bipartite graph on the same edge ids.
+    D must have even indegrees and leave no cycle of O oriented.  Cycle
+    edges meeting a vertex in the same direction share a split vertex; the
+    rest are paired greedily by lowest edge id.  The split graph is never
+    built: each of its cycles is walked in G from its lowest edge, which is
+    kept, out through that edge's second endpoint.
     """
     if D.host != G or O.host != G:
         raise GraphError("orientation or cycle set does not match the graph")
@@ -135,52 +140,51 @@ def split_expansion(G: Multigraph, D: Orientation, O: CycleSet) -> ExpansionMap:
             raise GraphError(f"odd degree at vertex {v}")
         if indeg[v] % 2 == 1:
             raise GraphError(f"odd indegree at vertex {v}")
-    at_vertex = _cycle_pairs_at_vertices(G, O)
 
-    endpoint_vertex: dict[tuple[int, int], int] = {}
-    next_id = 0
-    for v in range(G.n):
-        ins = [e for e in G.incident(v) if D.head[e] == v]
-        outs = [e for e in G.incident(v) if D.head[e] != v]
-        forced_in: list[tuple[int, int]] = []
-        forced_out: list[tuple[int, int]] = []
-        for _, (e, f) in sorted(at_vertex[v]):
-            e_in = D.head[e] == v
-            f_in = D.head[f] == v
-            if e_in and f_in:
-                forced_in.append((e, f))
-            elif not e_in and not f_in:
-                forced_out.append((e, f))
-            # mixed direction: no adjacency requirement at this vertex
-        taken = {e for pair in forced_in + forced_out for e in pair}
-        loose_in = [e for e in ins if e not in taken]
-        loose_out = [e for e in outs if e not in taken]
-        pairs = forced_in + list(zip(loose_in[::2], loose_in[1::2]))
-        pairs += forced_out + list(zip(loose_out[::2], loose_out[1::2]))
-        for e, f in pairs:
-            endpoint_vertex[(e, v)] = next_id
-            endpoint_vertex[(f, v)] = next_id
-            next_id += 1
-
+    # partner[(e, v)]: the edge that shares e's split vertex at endpoint v.
+    # A prescribed cycle with no same-direction pair has one in-edge at each
+    # of its vertices, so it is oriented.
+    partner: dict[tuple[int, int], int] = {}
     for cyc in O.cycles:
-        if _cycle_is_oriented(D, cyc):
+        oriented = True
+        for v, e, f in zip(cycle_vertices(G, cyc), cyc[-1:] + cyc[:-1], cyc):
+            if (D.head[e] == v) == (D.head[f] == v):
+                partner[(e, v)] = f
+                partner[(f, v)] = e
+                oriented = False
+        if oriented:
             raise GraphError("a prescribed cycle is an oriented cycle")
+    for v in range(G.n):
+        for inbound in (True, False):
+            loose = [
+                e for e in G.incident(v)
+                if (D.head[e] == v) == inbound and (e, v) not in partner
+            ]
+            for e, f in zip(loose[::2], loose[1::2]):
+                partner[(e, v)] = f
+                partner[(f, v)] = e
 
-    new_edges = [
-        (endpoint_vertex[(e, u)], endpoint_vertex[(e, v)])
-        for e, (u, v) in enumerate(G.edges)
-    ]
-    expanded = Multigraph(next_id, new_edges)
-    if expanded.is_regular() != 2:
-        raise AssertionError("split expansion produced a non-2-regular graph")
-    return ExpansionMap(G, expanded)
+    # Each walk alternates between in- and out-split vertices, so it has
+    # even length, and either way round it keeps the same edges.
+    kept: list[int] = []
+    visited = bytearray(G.m)
+    for start in range(G.m):
+        e, v, keep = start, G.edges[start][1], True
+        while not visited[e]:
+            visited[e] = 1
+            if keep:
+                kept.append(e)
+            keep = not keep
+            e = partner[(e, v)]
+            v = G.other_end(e, v)
+    return Factor(G, t, tuple(sorted(kept)))
 
 
 def project_factor(xmap: ExpansionMap, M: Iterable[int], t: int) -> Factor:
     """Pull a perfect matching of the expanded graph back to the original.
 
     The result is the original edges whose expanded copies are matched; the
-    gadget/split structure guarantees it is a t-factor.
+    gadget structure guarantees it is a t-factor.
     """
     M = set(M)
     covered = [0] * xmap.expanded.n

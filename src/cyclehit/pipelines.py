@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cycles import CycleSet
-from .expansion import cubic_expansion, project_factor, split_expansion
+from .expansion import cubic_expansion, project_factor, split_factor
 from .factors import Factor, two_factorization, verify_factor, verify_intersections
 from .gadgets import build_even_leaf_tree, build_gadget_tree
 from .multigraph import GraphError, Multigraph, is_k_connected
@@ -28,7 +28,6 @@ from .solver import (
     BudgetExceededError,
     OracleVerdict,
     SearchBudget,
-    bipartite_alternating_matching,
     t_factor_oracle,
 )
 
@@ -177,9 +176,7 @@ def half_pipeline(
     cycle and leaving at least one edge of each uncovered; the inputs are
     those of orient_even_indegree."""
     D, nodes = _orient(G, O, t, budget, checked, arbitrary)
-    xmap = split_expansion(G, D, O)
-    matching = bipartite_alternating_matching(xmap.expanded)
-    F = project_factor(xmap, matching, t)
+    F = split_factor(G, D, O, t)
     checks = {
         "t_factor": verify_factor(G, F, t),
         "hit_and_cohit": verify_intersections(F, O, "hit-and-cohit"),

@@ -1,6 +1,5 @@
-"""Exact search engines: degree-constrained subgraphs with cycle-hitting
-constraints, optionally through a forced edge, and the alternating matching
-of 2-regular bipartite graphs.
+"""The exact search engine: degree-constrained subgraphs with cycle-hitting
+constraints, optionally through a forced edge.
 
 All searches branch on the lowest undecided edge id, include-branch first,
 and propagate forced decisions (degree bounds and per-cycle feasibility), so
@@ -41,7 +40,6 @@ __all__ = [
     "SearchBudget",
     "OracleVerdict",
     "BudgetExceededError",
-    "bipartite_alternating_matching",
     "t_factor_oracle",
     "enumerate_t_factors",
 ]
@@ -554,31 +552,3 @@ def enumerate_t_factors(
     """All t-factors satisfying the mode, as sorted edge-id tuples, in
     lexicographic search order."""
     return _engine(G, t, O, mode, _Clock(None)).enumerate()
-
-
-def bipartite_alternating_matching(G2: Multigraph) -> tuple[int, ...]:
-    """Perfect matching of a 2-regular bipartite graph by alternating along
-    each (even) cycle, starting from and keeping the lowest edge id."""
-    if G2.is_regular() != 2:
-        raise GraphError("graph is not 2-regular")
-    visited = bytearray(G2.m)
-    matching: list[int] = []
-    for start in range(G2.m):
-        if visited[start]:
-            continue
-        walk = [start]
-        visited[start] = 1
-        cur = G2.edges[start][1]
-        last = start
-        while True:
-            nxt = next(f for f in G2.incident(cur) if f != last)
-            if nxt == start:
-                break
-            walk.append(nxt)
-            visited[nxt] = 1
-            cur = G2.other_end(nxt, cur)
-            last = nxt
-        if len(walk) % 2 == 1:
-            raise GraphError(f"odd cycle through edge {start}: graph is not bipartite")
-        matching.extend(walk[0::2])
-    return tuple(sorted(matching))

@@ -394,3 +394,96 @@ def reference_certifies(
         if a > 0:
             most += cap * a
     return most < sum(bi * yi for bi, yi in zip(b, ys))
+
+
+# ------------------------------------------------- vertex splitting reference
+
+def reference_split_factor(G: Multigraph, D, O: CycleSet, t: int):
+    """expansion.split_factor in its first form: build the split graph as a
+    Multigraph (expansion.split_expansion), match it by alternating along
+    each of its cycles (solver.bipartite_alternating_matching), and project
+    the matching back to G."""
+    from cyclehit import Factor, cycle_vertices
+    from cyclehit.orientation import _cycle_is_oriented
+
+    def split_expansion(G, D, O) -> Multigraph:
+        if D.host != G or O.host != G:
+            raise GraphError("orientation or cycle set does not match the graph")
+        indeg = D.indegrees()
+        for v in range(G.n):
+            if G.degree(v) % 2 == 1:
+                raise GraphError(f"odd degree at vertex {v}")
+            if indeg[v] % 2 == 1:
+                raise GraphError(f"odd indegree at vertex {v}")
+        at_vertex: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(G.n)]
+        for ci, cyc in enumerate(O.cycles):
+            walk = cycle_vertices(G, cyc)
+            k = len(cyc)
+            for i, v in enumerate(walk):
+                at_vertex[v].append((ci, (cyc[i - 1], cyc[i % k])))
+
+        endpoint_vertex: dict[tuple[int, int], int] = {}
+        next_id = 0
+        for v in range(G.n):
+            ins = [e for e in G.incident(v) if D.head[e] == v]
+            outs = [e for e in G.incident(v) if D.head[e] != v]
+            forced_in: list[tuple[int, int]] = []
+            forced_out: list[tuple[int, int]] = []
+            for _, (e, f) in sorted(at_vertex[v]):
+                e_in = D.head[e] == v
+                f_in = D.head[f] == v
+                if e_in and f_in:
+                    forced_in.append((e, f))
+                elif not e_in and not f_in:
+                    forced_out.append((e, f))
+                # mixed direction: no adjacency requirement at this vertex
+            taken = {e for pair in forced_in + forced_out for e in pair}
+            loose_in = [e for e in ins if e not in taken]
+            loose_out = [e for e in outs if e not in taken]
+            pairs = forced_in + list(zip(loose_in[::2], loose_in[1::2]))
+            pairs += forced_out + list(zip(loose_out[::2], loose_out[1::2]))
+            for e, f in pairs:
+                endpoint_vertex[(e, v)] = next_id
+                endpoint_vertex[(f, v)] = next_id
+                next_id += 1
+
+        for cyc in O.cycles:
+            if _cycle_is_oriented(D, cyc):
+                raise GraphError("a prescribed cycle is an oriented cycle")
+
+        new_edges = [
+            (endpoint_vertex[(e, u)], endpoint_vertex[(e, v)])
+            for e, (u, v) in enumerate(G.edges)
+        ]
+        expanded = Multigraph(next_id, new_edges)
+        if expanded.is_regular() != 2:
+            raise AssertionError("split expansion produced a non-2-regular graph")
+        return expanded
+
+    def bipartite_alternating_matching(G2: Multigraph) -> tuple[int, ...]:
+        if G2.is_regular() != 2:
+            raise GraphError("graph is not 2-regular")
+        visited = bytearray(G2.m)
+        matching: list[int] = []
+        for start in range(G2.m):
+            if visited[start]:
+                continue
+            walk = [start]
+            visited[start] = 1
+            cur = G2.edges[start][1]
+            last = start
+            while True:
+                nxt = next(f for f in G2.incident(cur) if f != last)
+                if nxt == start:
+                    break
+                walk.append(nxt)
+                visited[nxt] = 1
+                cur = G2.other_end(nxt, cur)
+                last = nxt
+            if len(walk) % 2 == 1:
+                raise GraphError(f"odd cycle through edge {start}: graph is not bipartite")
+            matching.extend(walk[0::2])
+        return tuple(sorted(matching))
+
+    M = set(bipartite_alternating_matching(split_expansion(G, D, O)))
+    return Factor(G, t, tuple(e for e in range(G.m) if e in M))

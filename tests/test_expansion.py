@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cyclehit import (
@@ -13,11 +15,12 @@ from cyclehit import (
     pack_cycles,
     project_factor,
     random_regular_multigraph,
-    split_expansion,
+    split_factor,
     t_factor_oracle,
     verify_factor,
+    verify_intersections,
 )
-from conftest import doubled_triangle, k4
+from conftest import doubled_triangle, k4, reference_split_factor
 
 
 def test_cubic_expansion_third_on_cubic_graph():
@@ -57,48 +60,82 @@ def test_cubic_expansion_rejects_wrong_regularity():
         cubic_expansion(doubled_triangle(), CycleSet(doubled_triangle(), []), build_even_leaf_tree(6))
 
 
-def test_split_expansion_two_regular_input_is_identity_sized():
-    # 2-regular input with alternating orientation: one split vertex per
-    # original vertex pair class; result is the same 4-cycle
+def test_split_factor_on_two_regular_input():
+    # 2-regular input with alternating orientation: every vertex is one
+    # split vertex, so the split graph is the 4-cycle itself, walked from
+    # edge 0 out through vertex 1
     G = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     D = Orientation(G, (0, 2, 2, 0))  # indegrees 2,0,2,0
-    xmap = split_expansion(G, D, CycleSet(G, []))
-    assert xmap.expanded.is_regular() == 2
-    assert xmap.expanded.n == 4
-    assert xmap.expanded.m == 4
+    assert split_factor(G, D, CycleSet(G, []), 1).edge_ids == (0, 2)
 
 
-def test_split_expansion_rejects_oriented_prescribed_cycle():
+def test_split_factor_rejects_oriented_prescribed_cycle():
+    # both triangles directed around: every indegree is 2, so only the
+    # oriented-cycle check can reject it
+    G = doubled_triangle()
+    O = CycleSet(G, [(0, 1, 2)])
+    around = Orientation(G, (1, 2, 0, 1, 2, 0))
+    with pytest.raises(GraphError, match="a prescribed cycle is an oriented cycle"):
+        split_factor(G, around, O, 1)
+
+
+def test_split_factor_rejects_odd_indegree():
     G = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    O = CycleSet(G, [(0, 1, 2, 3)])
-    around = Orientation(G, (1, 2, 3, 0))
-    with pytest.raises(GraphError):
-        split_expansion(G, around, O)
+    D = Orientation(G, (1, 2, 2, 0))  # indegrees 1,1,2,0
+    with pytest.raises(GraphError, match="odd indegree at vertex 0"):
+        split_factor(G, D, CycleSet(G, []), 1)
 
 
-def test_split_expansion_is_bipartite_two_regular():
-    G = random_regular_multigraph(10, 4, seed=5)
+@pytest.mark.parametrize("r, t, seed", [(4, 2, 5), (8, 4, 3)])
+def test_split_factor_is_a_hitting_and_cohitting_t_factor(r, t, seed):
+    G = random_regular_multigraph(10, r, seed=seed)
     O = pack_cycles(G, parity="odd")
-    D = orient_even_indegree(G, O, 2)
-    xmap = split_expansion(G, D, O)
-    H = xmap.expanded
-    assert H.is_regular() == 2
-    # 2-coloring check: every cycle of H is even
-    color = [-1] * H.n
-    for s in range(H.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for e in H.incident(v):
-                w = H.other_end(e, v)
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                else:
-                    assert color[w] != color[v], "odd cycle: not bipartite"
+    D = orient_even_indegree(G, O, t)
+    F = split_factor(G, D, O, t)
+    assert verify_factor(G, F, t)
+    assert verify_intersections(F, O, "hit-and-cohit")
+
+
+@pytest.mark.parametrize("r, t", [(4, 2), (8, 4)])
+@pytest.mark.parametrize("arbitrary", [False, True], ids=["plain", "arbitrary"])
+def test_split_factor_matches_the_split_graph_matching(r, t, arbitrary):
+    """split_factor gives exactly the factor of the split graph built as a
+    Multigraph, matched by alternating along its cycles and projected back
+    (conftest.reference_split_factor), on seeded orientations of the half
+    pipelines."""
+    for seed in range(12):
+        n = 6 + seed % 7 if r == 4 else 9 + seed % 4
+        G = random_regular_multigraph(n, r, seed, min_connectivity=3 if arbitrary else 2)
+        O = pack_cycles(G, parity=None if arbitrary else "odd")
+        D = orient_even_indegree(G, O, t, arbitrary=arbitrary)
+        assert split_factor(G, D, O, t) == reference_split_factor(G, D, O, t)
+
+
+def test_split_factor_rejects_what_the_split_graph_rejects():
+    """On orientations with some cycles reversed, and sometimes one more
+    edge, split_factor and reference_split_factor give the same factor or
+    the same error: odd indegree, or a prescribed cycle left oriented."""
+    rng = random.Random(7)
+    seen = set()
+    for seed in range(40):
+        r, t = (4, 2) if seed % 2 else (8, 4)
+        G = random_regular_multigraph(8, r, seed)
+        O = pack_cycles(G, parity="odd" if seed % 3 else None)
+        D = orient_even_indegree(G, O, t, checked=False)
+        flips = [*pack_cycles(G, parity=None, max_len=5).cycles, *O.cycles]
+        for _ in range(4):
+            E = D.flipped(e for c in flips if rng.random() < 0.4 for e in c)
+            if rng.random() < 0.2:
+                E = E.flipped([rng.randrange(G.m)])
+            got = []
+            for split in (split_factor, reference_split_factor):
+                try:
+                    got.append(split(G, E, O, t))
+                except GraphError as error:
+                    got.append(str(error))
+            assert got[0] == got[1]
+            seen.add(got[0].split(" at ")[0] if isinstance(got[0], str) else "factor")
+    assert seen == {"factor", "odd indegree", "a prescribed cycle is an oriented cycle"}
 
 
 def test_project_factor_roundtrip():

@@ -192,6 +192,7 @@ PIPELINE_CASES = [
     ("third", 6, 2, None, "odd", 2, (5, 12)),
     ("half", 4, 2, None, "odd", 2, (3, 16)),
     ("half", 4, 2, 4, "odd", 2, (3, 16)),
+    ("half", 8, 4, 6, "odd", 2, (4, 12)),
     ("third-arb", 3, 1, None, None, 3, (4, 20)),
     ("half-arb", 4, 2, None, None, 3, (5, 16)),
 ]

@@ -10,7 +10,6 @@ from cyclehit import (
     GraphError,
     Multigraph,
     SearchBudget,
-    bipartite_alternating_matching,
     enumerate_t_factors,
     gen_sec6_2k,
     gen_thm4,
@@ -137,17 +136,6 @@ def test_cubic_graph_with_a_two_edge_cut(cycles):
     rep = third_pipeline(G, O, None, 1, checked=False, arbitrary=True)
     assert verify_factor(G, rep.factor, 1)
     assert verify_intersections(rep.factor, O, "hit-matching")
-
-
-def test_bipartite_alternating_matching():
-    G = c4()
-    M = bipartite_alternating_matching(G)
-    assert M in ((0, 2), (1, 3))
-    assert verify_factor(G, M, 1)
-    with pytest.raises(GraphError):
-        bipartite_alternating_matching(Multigraph(3, [(0, 1), (1, 2), (0, 2)]))
-    with pytest.raises(GraphError):
-        bipartite_alternating_matching(k4())
 
 
 def test_search_is_deterministic():
