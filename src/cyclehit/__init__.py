@@ -14,7 +14,6 @@ from .cycles import (
 from .expansion import (
     ExpansionMap,
     cubic_expansion,
-    project_factor,
     split_factor,
 )
 from .factors import (

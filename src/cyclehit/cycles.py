@@ -81,9 +81,6 @@ class CycleSet:
     def __iter__(self):
         return iter(self.cycles)
 
-    def edge_ids(self) -> set[int]:
-        return {e for c in self.cycles for e in c}
-
     def min_length(self) -> int:
         return min((len(c) for c in self.cycles), default=0)
 

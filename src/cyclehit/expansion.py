@@ -1,27 +1,26 @@
-"""Graph surgeries: vertex replacement by tree interiors, projection of
-matchings back to the original graph, and orientation-class vertex
-splitting, walked in the original graph without building the split graph.
+"""Graph surgeries: vertex replacement by tree interiors, and
+orientation-class vertex splitting, walked in the original graph without
+building the split graph.
 
 Original edges keep their ids in the expanded graph; gadget edges are
-appended after them.
+appended after them, so the original edges of a matching of the expanded
+graph are its edge ids below the original edge count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .cycles import CycleSet, cycle_vertices
 from .factors import Factor
 from .gadgets import GadgetTree
 from .multigraph import GraphError, Multigraph
-from .orientation import Orientation
+from .orientation import Orientation, _cycle_is_oriented
 
 __all__ = [
     "ExpansionMap",
     "cubic_expansion",
     "split_factor",
-    "project_factor",
 ]
 
 
@@ -30,7 +29,6 @@ class ExpansionMap:
     """An expansion: edge e of the original graph is edge e of the expanded
     one."""
 
-    original: Multigraph
     expanded: Multigraph
 
 
@@ -117,7 +115,7 @@ def cubic_expansion(
     expanded = Multigraph(G.n * block, new_edges)
     if expanded.is_regular() != 3:
         raise AssertionError("cubic expansion produced a non-cubic graph")
-    return ExpansionMap(G, expanded), CycleSet(expanded, O.cycles)
+    return ExpansionMap(expanded), CycleSet(expanded, O.cycles)
 
 
 def split_factor(G: Multigraph, D: Orientation, O: CycleSet, t: int) -> Factor:
@@ -142,18 +140,14 @@ def split_factor(G: Multigraph, D: Orientation, O: CycleSet, t: int) -> Factor:
             raise GraphError(f"odd indegree at vertex {v}")
 
     # partner[(e, v)]: the edge that shares e's split vertex at endpoint v.
-    # A prescribed cycle with no same-direction pair has one in-edge at each
-    # of its vertices, so it is oriented.
     partner: dict[tuple[int, int], int] = {}
     for cyc in O.cycles:
-        oriented = True
+        if _cycle_is_oriented(D, cyc):
+            raise GraphError("a prescribed cycle is an oriented cycle")
         for v, e, f in zip(cycle_vertices(G, cyc), cyc[-1:] + cyc[:-1], cyc):
             if (D.head[e] == v) == (D.head[f] == v):
                 partner[(e, v)] = f
                 partner[(f, v)] = e
-                oriented = False
-        if oriented:
-            raise GraphError("a prescribed cycle is an oriented cycle")
     for v in range(G.n):
         for inbound in (True, False):
             loose = [
@@ -178,20 +172,3 @@ def split_factor(G: Multigraph, D: Orientation, O: CycleSet, t: int) -> Factor:
             e = partner[(e, v)]
             v = G.other_end(e, v)
     return Factor(G, t, tuple(sorted(kept)))
-
-
-def project_factor(xmap: ExpansionMap, M: Iterable[int], t: int) -> Factor:
-    """Pull a perfect matching of the expanded graph back to the original.
-
-    The result is the original edges whose expanded copies are matched; the
-    gadget structure guarantees it is a t-factor.
-    """
-    M = set(M)
-    covered = [0] * xmap.expanded.n
-    for e in M:
-        u, v = xmap.expanded.endpoints(e)
-        covered[u] += 1
-        covered[v] += 1
-    if any(c != 1 for c in covered):
-        raise GraphError("edge set is not a perfect matching of the expanded graph")
-    return Factor(xmap.original, t, tuple(e for e in range(xmap.original.m) if e in M))

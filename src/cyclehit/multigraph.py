@@ -178,32 +178,8 @@ class Multigraph:
         r = degs[0]
         return r if all(d == r for d in degs) else None
 
-    def components(self, excluded_edges: Iterable[int] = ()) -> list[set[int]]:
-        """Connected components (vertex sets), ignoring the given edges."""
-        excluded = set(excluded_edges)
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = {s}
-            seen[s] = True
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for eid in self._incident[v]:
-                    if eid in excluded:
-                        continue
-                    w = self.other_end(eid, v)
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(comp)
-        return comps
-
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(_dfs(self, (0,), [-1] * self.n)[0]) == self.n
 
     def __eq__(self, other) -> bool:
         return (

@@ -32,9 +32,6 @@ class Orientation:
             if h not in self.host.endpoints(e):
                 raise GraphError(f"head of edge {e} is not one of its endpoints")
 
-    def tail(self, eid: int) -> int:
-        return self.host.other_end(eid, self.head[eid])
-
     def indegrees(self) -> list[int]:
         deg = [0] * self.host.n
         for h in self.head:
@@ -85,14 +82,9 @@ def balanced_orientation(G: Multigraph, O: Optional[CycleSet] = None) -> Orienta
 
 
 def _cycle_is_oriented(D: Orientation, cycle: tuple[int, ...]) -> bool:
-    # Oriented <=> every cycle vertex has exactly one inbound cycle edge.
-    heads_at: dict[int, int] = {}
-    for e in cycle:
-        u, v = D.host.endpoints(e)
-        heads_at.setdefault(u, 0)
-        heads_at.setdefault(v, 0)
-        heads_at[D.head[e]] += 1
-    return all(c == 1 for c in heads_at.values())
+    # A cycle has as many vertices as edges, so it is oriented (every vertex
+    # the head of exactly one of its edges) iff its heads are distinct.
+    return len({D.head[e] for e in cycle}) == len(cycle)
 
 
 def verify_orientation(G: Multigraph, D: Orientation, O: CycleSet) -> bool:

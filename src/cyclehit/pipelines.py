@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cycles import CycleSet
-from .expansion import cubic_expansion, project_factor, split_factor
+from .expansion import cubic_expansion, split_factor
 from .factors import Factor, two_factorization, verify_factor, verify_intersections
 from .gadgets import build_even_leaf_tree, build_gadget_tree
 from .multigraph import GraphError, Multigraph, is_k_connected
@@ -77,9 +77,11 @@ def _check_common(
         _require(O.all_odd(), "all prescribed cycles must be odd")
 
 
-def _unwrap(verdict: OracleVerdict, what: str) -> tuple[int, ...]:
+def _unwrap(verdict: OracleVerdict, what: str, m: int) -> tuple[int, ...]:
+    """The original edges of the matching found on a cubic expansion of a
+    graph with m edges: the expansion keeps that graph's edge ids."""
     if verdict.status == SAT:
-        return verdict.witness.edge_ids
+        return tuple(e for e in verdict.witness.edge_ids if e < m)
     if verdict.status == UNSAT:
         # Guaranteed SAT when the preconditions hold, so this is a breach.
         raise GraphError(f"{what} is unsolvable; the input violates a precondition")
@@ -110,8 +112,7 @@ def third_pipeline(
     _check_common(G, O, 3 * t, checked, arbitrary)
     xmap, induced = cubic_expansion(G, O, build_gadget_tree(t))
     verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget, forced_edge=e)
-    matching = _unwrap(verdict, "expanded matching instance")
-    F = project_factor(xmap, matching, t)
+    F = Factor(G, t, _unwrap(verdict, "expanded matching instance", G.m))
     checks = {
         "t_factor": verify_factor(G, F, t),
         "forced_edge": e is None or e in F.edge_ids,
@@ -157,8 +158,7 @@ def _orient(
     D = balanced_orientation(G, O)
     xmap, induced = cubic_expansion(G, O, build_even_leaf_tree(2 * t))
     verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget)
-    matching = set(_unwrap(verdict, "orientation matching instance"))
-    flipped = D.flipped(e for e in range(G.m) if e in matching)
+    flipped = D.flipped(_unwrap(verdict, "orientation matching instance", G.m))
     if not verify_orientation(G, flipped, O):
         raise AssertionError("orientation postcondition failed")
     return flipped, verdict.nodes_explored

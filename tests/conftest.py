@@ -216,6 +216,33 @@ def naive_vertex_connectivity(G: Multigraph) -> int:
     return G.n - 1
 
 
+def reference_components(G: Multigraph, excluded_edges=()) -> list[set[int]]:
+    """Multigraph.components in its last form: the connected components
+    (vertex sets) of G without the excluded edges, by a stack traversal
+    from each unseen vertex in turn."""
+    excluded = set(excluded_edges)
+    seen = [False] * G.n
+    comps = []
+    for s in range(G.n):
+        if seen[s]:
+            continue
+        comp = {s}
+        seen[s] = True
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for eid in G.incident(v):
+                if eid in excluded:
+                    continue
+                w = G.other_end(eid, v)
+                if not seen[w]:
+                    seen[w] = True
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
 def prism(k: int) -> Multigraph:
     """C_k x K2: two k-cycles joined by a perfect matching (3-connected and
     cubic for k >= 3)."""
@@ -270,6 +297,21 @@ def reference_pack_cycles(
             used[e] = 1
         cycles.append(cyc)
     return cycles
+
+
+# ------------------------------------------------- orientation reference
+
+def reference_cycle_is_oriented(D, cycle: tuple[int, ...]) -> bool:
+    """orientation._cycle_is_oriented in its first form: a cycle is oriented
+    iff every one of its vertices is the head of exactly one of its edges,
+    counted per vertex."""
+    heads_at: dict[int, int] = {}
+    for e in cycle:
+        u, v = D.host.endpoints(e)
+        heads_at.setdefault(u, 0)
+        heads_at.setdefault(v, 0)
+        heads_at[D.head[e]] += 1
+    return all(c == 1 for c in heads_at.values())
 
 
 # ------------------------------------------------- instance strategies

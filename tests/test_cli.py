@@ -238,7 +238,7 @@ EXIT_CONTRACT = [
     ("solve", ("--pipeline", "half", *_R4, "--t", "2", "--max-nodes", "1"),
      None, 3, "", "budget exceeded: orientation matching instance exceeded"),
     ("solve", ("--pipeline", "third", *_PETERSEN, "--t", "1", "--force-edge", "0"),
-     "cyclehit.pipelines.project_factor", 4, "", "Traceback"),
+     "cyclehit.pipelines.cubic_expansion", 4, "", "Traceback"),
     ("oracle", ("--graph", "inputs/petersen.mg", "--t", "1"),
      None, 0, "SAT nodes=", ""),
     ("oracle", ("--graph", "inputs/thm5.mg", "--cycles", "inputs/thm5.cyc", "--t", "1",
@@ -254,6 +254,10 @@ EXIT_CONTRACT = [
     # A second (oracle, 2) row, with its own id so that the first keeps "oracle-2".
     pytest.param("oracle", ("--graph", "inputs/thm5.mg", "--t", "1", "--mode", "hit"),
                  None, 2, "", "error: mode hit needs --cycles\n", id="oracle-2b"),
+    # NaN compares false with everything, so it must not pass for a positive budget.
+    pytest.param("oracle", ("--graph", "inputs/petersen.mg", "--t", "1",
+                            "--max-seconds", "nan"),
+                 None, 2, "", "error: max_seconds must be positive\n", id="oracle-2-nan"),
     ("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/petersen_t1.fac",
                 "--t", "1"),
      None, 0, "true\n", ""),

@@ -13,10 +13,10 @@ from cyclehit import (
     cycle_vertices,
     orient_even_indegree,
     pack_cycles,
-    project_factor,
     random_regular_multigraph,
     split_factor,
     t_factor_oracle,
+    third_pipeline,
     verify_factor,
     verify_intersections,
 )
@@ -138,15 +138,17 @@ def test_split_factor_rejects_what_the_split_graph_rejects():
     assert seen == {"factor", "odd indegree", "a prescribed cycle is an oriented cycle"}
 
 
-def test_project_factor_roundtrip():
-    # third family: the matched-leaf invariant makes ANY perfect matching of
-    # the expansion project to a t-factor
+def test_third_pipeline_factor_is_the_witness_below_m():
+    # The expansion keeps G's edge ids, so the third pipeline's factor is the
+    # part below G.m of the oracle's witness on the expansion; by the
+    # matched-leaf invariant, that part of ANY perfect matching of the
+    # expansion is a t-factor.
     G = random_regular_multigraph(8, 6, seed=11)
     O = pack_cycles(G, parity="odd")
     xmap, induced = cubic_expansion(G, O, build_gadget_tree(2))
-    v = t_factor_oracle(xmap.expanded, 1)
+    v = t_factor_oracle(xmap.expanded, 1, induced, "hit", forced_edge=0)
     assert v.status == "SAT"
-    F = project_factor(xmap, v.witness.edge_ids, 2)
-    assert verify_factor(G, F, 2)
-    with pytest.raises(GraphError):
-        project_factor(xmap, (0,), 2)  # not a perfect matching
+    F = third_pipeline(G, O, 0, 2).factor
+    assert F.edge_ids == tuple(e for e in v.witness.edge_ids if e < G.m)
+    any_matching = t_factor_oracle(xmap.expanded, 1).witness.edge_ids
+    assert verify_factor(G, [e for e in any_matching if e < G.m], 2)

@@ -7,13 +7,15 @@ from cyclehit import (
     Multigraph,
     Orientation,
     balanced_orientation,
+    cycle_vertices,
+    gen_doubled,
     orient_even_indegree,
     pack_cycles,
     random_regular_multigraph,
     verify_orientation,
 )
 from cyclehit.orientation import _cycle_is_oriented
-from conftest import c4, k4
+from conftest import c4, k4, reference_cycle_is_oriented
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -21,7 +23,6 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=
 def test_orientation_validation():
     G = c4()
     D = Orientation(G, (1, 2, 3, 3))
-    assert D.tail(0) == 0
     assert D.indegrees() == [0, 1, 1, 2]
     with pytest.raises(GraphError):
         Orientation(G, (2, 2, 3, 3))  # vertex 2 is not an endpoint of edge 0
@@ -97,6 +98,38 @@ def test_balanced_orientation_is_balanced_and_directs_every_cycle(instance):
     assert all(_cycle_is_oriented(D, c) for c in O.cycles)
     assert balanced_orientation(G, O) == D
     assert balanced_orientation(G) == balanced_orientation(G, CycleSet(G, []))
+
+
+@st.composite
+def oriented_cycle_sets(draw):
+    """A graph, a cycle set on it and an orientation: an even_instances
+    graph and cycle set, or gen_doubled of a random multigraph, whose cycles
+    are all 2-cycles.  Each cycle is directed along its walk, against it, or
+    edge by edge at random, so oriented and unoriented cycles are common."""
+    if draw(st.booleans()):
+        G, O = draw(even_instances())
+    else:
+        n = draw(st.integers(2, 6))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                              max_size=8))
+        inst = gen_doubled(Multigraph(n, [(u, (u + step) % n) for u, step in pairs]))
+        G, O = inst.graph, inst.cycles
+    head = [G.endpoints(e)[draw(st.integers(0, 1))] for e in range(G.m)]
+    for cyc in O.cycles:
+        walk = cycle_vertices(G, cyc)
+        way = draw(st.sampled_from(["along", "against", "random"]))
+        if way != "random":
+            for i, e in enumerate(cyc):
+                head[e] = walk[(i + (way == "along")) % len(cyc)]
+    return G, O, Orientation(G, tuple(head))
+
+
+@PROPERTY
+@given(oriented_cycle_sets())
+def test_cycle_is_oriented_matches_the_head_count_rule(instance):
+    G, O, D = instance
+    for cyc in O.cycles:
+        assert _cycle_is_oriented(D, cyc) == reference_cycle_is_oriented(D, cyc), cyc
 
 
 def test_balanced_orientation_follows_cycles_and_lowest_edges():

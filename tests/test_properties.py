@@ -10,7 +10,7 @@ import tracemalloc
 from collections import Counter
 from unittest import mock
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cyclehit import (
     BUDGET_EXCEEDED,
@@ -34,7 +34,8 @@ from cyclehit.factors import _bipartite_perfect_matching
 from cyclehit.multigraph import bridge_sides
 from cyclehit.solver import _IN, _OUT, _UNDEC, _Clock, _DegreeSearch
 from conftest import (
-    factor_instances, naive_factors, recursive_bipartite_perfect_matching, shuffled,
+    factor_instances, naive_factors, recursive_bipartite_perfect_matching,
+    reference_components, shuffled,
 )
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -82,17 +83,28 @@ def test_is_k_connected_matches_exact_connectivity(G):
 
 @PROPERTY
 @given(multigraphs())
+@example(Multigraph(0, []))
+@example(Multigraph(1, []))
+@example(Multigraph(3, [(0, 1), (0, 1)]))
+def test_is_connected_matches_reference_components(G):
+    """One depth-first search from vertex 0 reaches every vertex iff the
+    graph has at most one component; n = 0 and 1 count as connected."""
+    assert G.is_connected() == (len(reference_components(G)) <= 1)
+
+
+@PROPERTY
+@given(multigraphs())
 def test_bridge_sides_match_edge_class_removal(G):
     """The search's parity sets rest on these: a pair of vertices is
     reported iff removing all of its parallel edges splits a component, with
     the size of the side cut off."""
-    base = len(G.components())
+    base = len(reference_components(G))
     classes: dict[tuple[int, int], list[int]] = {}
     for e, (u, v) in enumerate(G.edges):
         classes.setdefault((min(u, v), max(u, v)), []).append(e)
     want = {}
     for pair, ids in classes.items():
-        comps = G.components(excluded_edges=ids)
+        comps = reference_components(G, excluded_edges=ids)
         if len(comps) > base:
             want[pair] = {len(c) for c in comps if pair[0] in c or pair[1] in c}
     got = {(min(p, v), max(p, v)): size for p, v, size in bridge_sides(G)}

@@ -51,6 +51,15 @@ def test_oracle_budget_is_not_unsat():
     assert "BUDGET" in v.summary()
 
 
+def test_search_budget_time_limit_must_be_positive():
+    # NaN fails every comparison, so only "not > 0" rejects it; inf is no limit.
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^max_seconds must be positive$"):
+            SearchBudget(max_seconds=bad)
+    budget = SearchBudget(max_seconds=float("inf"))
+    assert t_factor_oracle(k4(), 1, budget=budget).status == SAT
+
+
 def test_oracle_matches_naive_subset_enumeration():
     fixtures = [
         (k4(), None),
