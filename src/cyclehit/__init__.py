@@ -73,7 +73,6 @@ from .solver import (
     BudgetExceededError,
     OracleVerdict,
     SearchBudget,
-    enumerate_t_factors,
     t_factor_oracle,
 )
 

@@ -227,12 +227,13 @@ def _cmd_verify(args) -> int:
     if args.mode != "none" and args.cycles is None:
         raise GraphError(f"mode {args.mode} needs --cycles")
     G = _load_graph(args.graph)
+    O = _load_cycles(args.cycles, G)
     F = parse_factor(_read(args.factor), G)
     if F.t != args.t:
         raise GraphError(f"factor file declares t={F.t}, expected t={args.t}")
     ok = verify_factor(G, F, args.t)
     if ok and args.mode != "none":
-        ok = verify_intersections(F, _load_cycles(args.cycles, G), args.mode)
+        ok = verify_intersections(F, O, args.mode)
     print("true" if ok else "false")
     return EXIT_OK if ok else EXIT_FALSE
 

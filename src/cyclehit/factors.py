@@ -8,7 +8,7 @@ perfect-matching peeling of the resulting regular bipartite graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .cycles import CycleSet
 from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows

@@ -3,21 +3,20 @@ constraints, optionally through a forced edge.
 
 All searches branch on the lowest undecided edge id, include-branch first,
 and propagate forced decisions (degree bounds and per-cycle feasibility), so
-verdicts and witnesses are deterministic.  A search for one solution also
-uses two more sound rules: parallel edges off the prescribed cycles are
-interchangeable, and every edge cut around a vertex pair joined by parallel
-edges, or across a bridge of the simple graph underneath, meets a factor
-with the parity Tutte's f-factor theorem fixes.  It also remembers the
+verdicts and witnesses are deterministic.  The search also uses two more
+sound rules: parallel edges off the prescribed cycles are interchangeable,
+and every edge cut around a vertex pair joined by parallel edges, or across
+a bridge of the simple graph underneath, meets a factor with the parity
+Tutte's f-factor theorem fixes.  It also remembers the
 residual problems it has proven to have no solution, and skips them when
 they come up again.  None of this changes a verdict or a witness; it only
 shrinks the search.
 
-In modes none and hit, t_factor_oracle pauses a search still undecided at
-node _LP_NODE for the LP relaxation (see relaxation): an exact Farkas
-certificate ends it UNSAT, an integral LP point that checks out is its
-witness, and otherwise the search resumes where it paused.  So the witness
-is the first solution in search order only when the search ends within
-_LP_NODE nodes.
+In modes none and hit, a search still undecided at node _LP_NODE pauses
+there for the LP relaxation (see relaxation): an exact Farkas certificate
+ends it UNSAT, an integral LP point that checks out is its witness, and
+otherwise the search resumes where it paused.  So the witness is the first
+solution in search order only when the search ends within _LP_NODE nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from . import relaxation
 from .cycles import CycleSet
@@ -41,7 +40,6 @@ __all__ = [
     "OracleVerdict",
     "BudgetExceededError",
     "t_factor_oracle",
-    "enumerate_t_factors",
 ]
 
 SAT = "SAT"
@@ -103,8 +101,8 @@ class _Clock:
 _UNDEC, _IN, _OUT = 0, 1, 2
 # bytes.translate table: 1 for a decided edge, 0 for an undecided one.
 _DECIDED = bytes([0, 1, 1]).ljust(256, b"\0")
-# Node at which t_factor_oracle's search pauses for the LP relaxation
-# (modes none and hit only); a search that ends by then is untouched.
+# Node at which a search pauses for the LP relaxation (modes none and hit
+# only); a search that ends by then is untouched.
 _LP_NODE = 256
 # Bytes one search may spend on its memo of failed residual problems, keys
 # and hash table together; once they are used up it stops recording, and
@@ -136,9 +134,9 @@ class _DegreeSearch:
       underneath.
 
     The first solution in search order (lexicographic over edge ids, IN
-    before OUT), which search() returns, has its IN edges first in every
-    class, and every solution meets the parity rule, so neither rule changes
-    a witness or a verdict.
+    before OUT), which search() returns unless its LP stage decides first,
+    has its IN edges first in every class, and every solution meets the
+    parity rule, so neither rule changes a witness or a verdict.
 
     search() also keeps a memo of failed residual problems, as component
     caching does for #SAT (Bacchus, Dalmao and Pitassi, FOCS 2003).  When
@@ -165,8 +163,6 @@ class _DegreeSearch:
     node.  The memo only skips sub-trees already proven empty, so the first
     solution and the verdict do not change, and no search counts more nodes
     than without it.
-
-    enumerate() lists every solution and uses neither rule nor the memo.
     """
 
     def __init__(
@@ -182,6 +178,7 @@ class _DegreeSearch:
         self.G = G
         self.m = G.m
         self.t = t
+        self.lp = mode in ("none", "hit")
         self.matching = mode == "hit-matching"
         self.cohit = mode == "hit-and-cohit"
         self.clock = clock
@@ -389,47 +386,27 @@ class _DegreeSearch:
     def witness(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.m) if self.state[e] == _IN)
 
-    def search(
-        self, forced_in: Iterable[int] = (), lp: bool = False
-    ) -> Optional[tuple[int, ...]]:
+    def search(self, forced_in: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
         """The first solution in search order with every forced edge IN, or
-        None once the space is exhausted.  With lp, a search still undecided
-        at node _LP_NODE pauses there for the LP relaxation: a Farkas
-        certificate ends it with None, an integral LP point that is a
-        solution is returned instead of the first one, and anything else
-        resumes the search where it paused."""
+        None once the space is exhausted: branch on the lowest undecided
+        edge, IN first.  Iterative, so the depth of the search does not
+        touch the interpreter stack.  Exhausted branch nodes go into the
+        memo while it fits in _MEMO_BYTES.  In modes none and hit, a search
+        still undecided at node _LP_NODE pauses there for the LP
+        relaxation: a Farkas certificate ends it with None, an integral LP
+        point that is a solution is returned instead of the first one, and
+        anything else resumes the search where it paused."""
         forced = tuple(forced_in)
         self._build_pruning(forced)
         # Keys hold the degrees only while they fit in a byte.
         room = _MEMO_BYTES if isinstance(self.deg_in, bytearray) else 0
-        for ids in self._solutions(forced, room, _LP_NODE if lp else None):
-            if ids is not None:
-                return ids
-            decided, ids = relaxation.decide(self.G, self.t, self.cycles, forced)
-            if decided:
-                return ids
-        return None
-
-    def enumerate(self) -> Iterator[tuple[int, ...]]:
-        return self._solutions((), 0, None)
-
-    def _solutions(
-        self, forced: tuple[int, ...], room: int, pause: Optional[int]
-    ) -> Iterator[Optional[tuple[int, ...]]]:
-        """Every solution, in lexicographic search order: branch on the
-        lowest undecided edge, IN first.  Iterative, so the depth of the
-        search does not touch the interpreter stack.  Exhausted branch
-        nodes go into the memo while it fits in `room` bytes; a caller
-        that takes more than the first solution must pass 0, since a node
-        is recorded whenever its sub-trees are done.  Yields None once,
-        right after node `pause` is counted, and goes on from there when
-        resumed."""
+        pause = _LP_NODE if self.lp else None
         t = self.t
         if any(d < t for d in self.deg_und) or (self.G.n * t) % 2 == 1:
-            return
+            return None
         for e, val in self.roots + [(e, _IN) for e in forced]:
             if not self.assign(e, val):
-                return
+                return None
         state, trail, m, clock = self.state, self.trail, self.m, self.clock
         assign, undo_to, tick = self.assign, self.undo_to, clock.tick
         deg_in, cyc_in, cyc_out, cohit = self.deg_in, self.cyc_in, self.cyc_out, self.cohit
@@ -456,19 +433,20 @@ class _DegreeSearch:
         while True:
             e = state.find(_UNDEC, e)
             if e < 0:
-                yield self.witness()
-            else:
-                # Keys are only built on edges with one recorded; None is
-                # never in the memo.
-                entry = key(e) if recorded[e] else None
-                if entry not in memo:
-                    tick()
-                    if clock.nodes == pause:
-                        yield None
-                    open_nodes.append((e, len(trail), clock.nodes, entry, False))
-                    if assign(e, _IN):
-                        e += 1
-                        continue
+                return self.witness()
+            # Keys are only built on edges with one recorded; None is never
+            # in the memo.
+            entry = key(e) if recorded[e] else None
+            if entry not in memo:
+                tick()
+                if clock.nodes == pause:
+                    decided, ids = relaxation.decide(self.G, t, self.cycles, forced)
+                    if decided:
+                        return ids
+                open_nodes.append((e, len(trail), clock.nodes, entry, False))
+                if assign(e, _IN):
+                    e += 1
+                    continue
             while open_nodes:
                 e, mark, seen, entry, on_out = open_nodes.pop()
                 if not on_out:
@@ -488,22 +466,7 @@ class _DegreeSearch:
                     keys += sys.getsizeof(entry)
                     left = _memo_room(room, keys, memo)
             else:
-                return
-
-
-def _engine(
-    G: Multigraph, t: int, O: Optional[CycleSet], mode: str, clock: _Clock
-) -> _DegreeSearch:
-    """The search for t-factors of G meeting O in mode, after the input checks."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if O is None and mode != "none":
-        raise GraphError(f"mode {mode} needs --cycles")
-    if t < 0:
-        raise GraphError("t must be non-negative")
-    if O is not None and O.host != G:
-        raise GraphError("cycle set does not belong to this graph")
-    return _DegreeSearch(G, t, tuple(O.cycles) if O is not None else (), mode, clock)
+                return None
 
 
 def t_factor_oracle(
@@ -524,13 +487,21 @@ def t_factor_oracle(
     search ends within _LP_NODE nodes; past that node, in modes none and
     hit, it may be an integral point of the LP relaxation instead.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if O is None and mode != "none":
+        raise GraphError(f"mode {mode} needs --cycles")
+    if t < 0:
+        raise GraphError("t must be non-negative")
+    if O is not None and O.host != G:
+        raise GraphError("cycle set does not belong to this graph")
     clock = _Clock(budget)
-    engine = _engine(G, t, O, mode, clock)
+    engine = _DegreeSearch(G, t, tuple(O.cycles) if O is not None else (), mode, clock)
     forced = () if forced_edge is None else (forced_edge,)
     if forced and not 0 <= forced_edge < G.m:
         raise GraphError(f"edge id {forced_edge} out of range")
     try:
-        ids = engine.search(forced_in=forced, lp=mode in ("none", "hit"))
+        ids = engine.search(forced_in=forced)
     except BudgetExceededError:
         return OracleVerdict(BUDGET_EXCEEDED, None, clock.nodes)
     if ids is None:
@@ -541,14 +512,3 @@ def t_factor_oracle(
     if O is not None and mode != "none" and not verify_intersections(F, O, mode):
         raise AssertionError("search witness violates the intersection mode")
     return OracleVerdict(SAT, F, clock.nodes)
-
-
-def enumerate_t_factors(
-    G: Multigraph,
-    t: int,
-    O: Optional[CycleSet] = None,
-    mode: str = "none",
-) -> Iterator[tuple[int, ...]]:
-    """All t-factors satisfying the mode, as sorted edge-id tuples, in
-    lexicographic search order."""
-    return _engine(G, t, O, mode, _Clock(None)).enumerate()

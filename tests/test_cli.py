@@ -268,6 +268,16 @@ EXIT_CONTRACT = [
     ("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/petersen_t1.fac",
                 "--t", "1"),
      "cyclehit.cli.verify_factor", 4, "", "Traceback"),
+    # A malformed --cycles file is an input error, even when the factor
+    # fails or the mode does not read the cycles.
+    pytest.param("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/bad.fac",
+                            "--t", "1", "--cycles", "bad.cyc", "--mode", "hit"),
+                 None, 2, "", "error: line 2: edge id 99 out of range\n",
+                 id="verify-2-bad-cycles-hit"),
+    pytest.param("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/bad.fac",
+                            "--t", "1", "--cycles", "bad.cyc", "--mode", "none"),
+                 None, 2, "", "error: line 2: edge id 99 out of range\n",
+                 id="verify-2-bad-cycles-none"),
     ("orient", (*_R4, "--t", "2"),
      None, 0, "ok t=2 oriented m=20\n", ""),
     # Checks skipped, so the balanced orientation meets the odd degrees.
@@ -294,6 +304,7 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch,
                             subcommand, argv, broken, code, out_prefix, err_prefix):
     shutil.copytree(GOLDEN_INPUTS, tmp_path / "inputs")
     (tmp_path / "out").mkdir()
+    (tmp_path / "bad.cyc").write_text("p cyc 1\nc 3 0 1 99\n")  # Petersen has 15 edges
     monkeypatch.chdir(tmp_path)
     if broken is not None:
         def fail(*args, **kwargs):

@@ -22,7 +22,6 @@ from cyclehit import (
     GraphError,
     Multigraph,
     SearchBudget,
-    enumerate_t_factors,
     gen_sec6_2k,
     is_k_connected,
     pack_cycles,
@@ -149,14 +148,17 @@ def _lex_first(factors):
 @PROPERTY
 @given(factor_instances())
 def test_search_matches_lex_first_oracle(instance):
-    """Status and witness of the oracle, and the full list enumerated, equal
-    the brute-force list in search order, in every mode and t <= 3."""
+    """Status and witness of the oracle, with no forced edge and through
+    each edge in turn, are the first of the brute-force solutions in search
+    order, in every mode and t <= 3."""
     G, O = instance
     for t in range(4):
         for mode in MODES:
             want = naive_factors(G, t, O, mode)
             assert _verdict(t_factor_oracle(G, t, O, mode)) == _lex_first(want), (t, mode)
-            assert list(enumerate_t_factors(G, t, O, mode)) == want, (t, mode)
+            for e in range(G.m):
+                got = t_factor_oracle(G, t, O, mode, forced_edge=e)
+                assert _verdict(got) == _lex_first([f for f in want if e in f]), (t, mode, e)
 
 
 @PROPERTY
@@ -270,14 +272,17 @@ def test_propagation_reaches_its_fixpoint(instance, t, mode, data):
 @PROPERTY
 @given(factor_instances())
 def test_pruning_never_costs_nodes(instance):
-    """The oracle's pruned search branches at most as often as the unpruned
-    search enumerate() runs, up to its first solution, so a node budget the
-    unpruned search fits in never turns into BUDGET_EXCEEDED."""
+    """The oracle's pruned search branches at most as often as the same
+    search with no pruning rule, no memo and no LP stage (a node number is
+    never 0), so a node budget the unpruned search fits in never turns
+    into BUDGET_EXCEEDED."""
     G, O = instance
     for t in range(4):
         for mode in MODES:
             clock = _Clock(None)
-            next(_DegreeSearch(G, t, tuple(O.cycles), mode, clock).enumerate(), None)
+            with mock.patch.object(_DegreeSearch, "_build_pruning", lambda self, forced: None), \
+                    _memo_off(), mock.patch.object(solver, "_LP_NODE", 0):
+                _DegreeSearch(G, t, tuple(O.cycles), mode, clock).search()
             budget = SearchBudget(max_nodes=max(clock.nodes, 1))
             v = t_factor_oracle(G, t, O, mode, budget=budget)
             assert v.status != BUDGET_EXCEEDED, (t, mode)
@@ -353,10 +358,12 @@ MEMO_BUDGET = SearchBudget(max_nodes=1_000)
 
 def _engine_search(G, t, O, mode, forced=()):
     """The engine's first solution (None if UNSAT, BUDGET_EXCEEDED past
-    MEMO_BUDGET) and its node count."""
+    MEMO_BUDGET) and its node count, with no LP stage (a node number is
+    never 0), so that only the memo differs between two runs."""
     clock = _Clock(MEMO_BUDGET)
     try:
-        ids = _DegreeSearch(G, t, tuple(O.cycles), mode, clock).search(forced_in=forced)
+        with mock.patch.object(solver, "_LP_NODE", 0):
+            ids = _DegreeSearch(G, t, tuple(O.cycles), mode, clock).search(forced_in=forced)
     except BudgetExceededError:
         ids = BUDGET_EXCEEDED
     return ids, clock.nodes
@@ -425,32 +432,6 @@ def test_memo_stays_within_its_byte_limit():
         assert verdict.status == UNSAT
         assert verdict.nodes_explored < off.nodes_explored, limit  # it recorded
         assert on_peak - off_peak <= limit, limit
-
-
-def test_enumeration_keeps_no_memo():
-    """enumerate() goes on past each solution, so every node above one is
-    exhausted after it has yielded; recording those would drop solutions.
-    The first 100 factors listed, and the nodes counted up to them or to
-    MEMO_BUDGET, do not depend on the memo's byte limit."""
-
-    def first_factors(G, t, O, mode):
-        clock, found = _Clock(MEMO_BUDGET), []
-        try:
-            for ids in _DegreeSearch(G, t, tuple(O.cycles), mode, clock).enumerate():
-                found.append(ids)
-                if len(found) == 100:
-                    break
-        except BudgetExceededError:
-            pass
-        return found, clock.nodes
-
-    for seed in range(20):
-        G, O = _parts_instance(seed)
-        for t in range(1, 4):
-            for mode in MODES:
-                with _memo_off():
-                    want = first_factors(G, t, O, mode)
-                assert first_factors(G, t, O, mode) == want, (seed, t, mode)
 
 
 def test_memo_key_keeps_the_cohit_flags():

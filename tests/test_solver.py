@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 
@@ -10,7 +11,6 @@ from cyclehit import (
     GraphError,
     Multigraph,
     SearchBudget,
-    enumerate_t_factors,
     gen_sec6_2k,
     gen_thm4,
     gen_thm5,
@@ -23,6 +23,7 @@ from cyclehit import (
     verify_factor,
     verify_intersections,
 )
+from cyclehit import relaxation, solver
 from conftest import bowtie, c4, doubled_triangle, k33, k4, naive_subset_verdict
 
 
@@ -81,18 +82,19 @@ def test_oracle_matches_naive_subset_enumeration():
                 assert got == want, (G, t, mode)
 
 
-def test_enumerate_t_factors_counts():
-    # K4 has 3 perfect matchings; K3,3 has 6
-    assert len(list(enumerate_t_factors(k4(), 1))) == 3
-    assert len(list(enumerate_t_factors(k33(), 1))) == 6
-    # every enumerated factor verifies
-    for ids in enumerate_t_factors(k4(), 2):
-        assert verify_factor(k4(), ids, 2)
+def test_oracle_witness_through_each_edge_is_lex_first():
+    # The perfect matching through edge e that comes first in edge-id order.
+    cases = [
+        (k4(), [(0, 5), (1, 4), (2, 3), (2, 3), (1, 4), (0, 5)]),
+        (k33(), [(0, 4, 8), (1, 3, 8), (2, 3, 7), (1, 3, 8), (0, 4, 8), (0, 5, 7),
+                 (1, 5, 6), (0, 5, 7), (0, 4, 8)]),
+    ]
+    for G, witnesses in cases:
+        got = [t_factor_oracle(G, 1, forced_edge=e).witness.edge_ids for e in range(G.m)]
+        assert got == witnesses
 
 
-def test_entry_points_share_input_checks():
-    # Each bad input raises the same error from the oracle and from the
-    # enumeration, and the enumeration raises it at the call.
+def test_oracle_input_checks():
     G = petersen()
     bad = [
         (1, gen_thm5(3).cycles, "hit", GraphError, "cycle set does not belong"),
@@ -103,8 +105,6 @@ def test_entry_points_share_input_checks():
     for t, O, mode, error, message in bad:
         with pytest.raises(error, match=message):
             t_factor_oracle(G, t, O, mode)
-        with pytest.raises(error, match=message):
-            enumerate_t_factors(G, t, O, mode)
 
 
 def test_constrained_perfect_matching_forced_edge():
@@ -114,6 +114,24 @@ def test_constrained_perfect_matching_forced_edge():
         v = t_factor_oracle(G, 1, O, "hit", forced_edge=e)
         assert v.status == SAT
         assert e in v.witness.edge_ids
+
+
+def test_lp_stage_runs_in_modes_none_and_hit_only():
+    # thm5 r=6 at t=1 is UNSAT in every hitting mode, and each search is
+    # still undecided at node _LP_NODE.  Only mode hit stops there for the
+    # LP stage, whose certificate ends it.
+    inst = gen_thm5(6)
+    runs = [(inst.graph, 1, inst.cycles, "hit", 1, solver._LP_NODE),
+            (inst.graph, 1, inst.cycles, "hit-matching", 0, 317),
+            (inst.graph, 1, inst.cycles, "hit-and-cohit", 0, 317)]
+    # Two disjoint K7s have no 3-factor, but the LP relaxation has a point
+    # (1/2 on every edge), so in mode none the search resumes after it.
+    K7 = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    runs.append((Multigraph(14, K7 + [(u + 7, v + 7) for u, v in K7]), 3, None, "none", 1, 434))
+    for G, t, O, mode, calls, nodes in runs:
+        with mock.patch.object(relaxation, "decide", wraps=relaxation.decide) as decide:
+            v = t_factor_oracle(G, t, O, mode)
+        assert (v.status, decide.call_count, v.nodes_explored) == (UNSAT, calls, nodes), mode
 
 
 def test_oracle_rejects_an_out_of_range_forced_edge():
