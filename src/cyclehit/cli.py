@@ -213,10 +213,10 @@ def _cmd_oracle(args) -> int:
     G = _load_graph(args.graph)
     O = _load_cycles(args.cycles, G)
     verdict = t_factor_oracle(G, args.t, O, args.mode, budget=_budget(args))
+    if verdict.status == SAT and args.out:
+        _write(args.out, serialize_factor(verdict.witness))
     print(verdict.summary())
     if verdict.status == SAT:
-        if args.out:
-            _write(args.out, serialize_factor(verdict.witness))
         return EXIT_OK
     if verdict.status == UNSAT:
         return EXIT_FALSE

@@ -355,13 +355,14 @@ def bridge_sides(G: Multigraph) -> list[tuple[int, int, int]]:
     return sides
 
 
-def _may_face_component(G: Multigraph, v: int, mask: int, u: int) -> bool:
-    """Whether the edges at v selected by mask (bit i for the i-th incident
-    edge) can be v's edges into one component of G - {u, v}: they contain
-    no u-v edge and leave out at least one edge not to u."""
-    incident = G._incident[v]
-    to_u = sum(1 << i for i, eid in enumerate(incident) if G.other_end(eid, v) == u)
-    return mask & to_u == 0 and mask != ((1 << len(incident)) - 1) & ~to_u
+def _may_face_component(to: dict[int, int], full: int, mask: int, u: int) -> bool:
+    """Whether the edges at a vertex v selected by mask (bit i for v's i-th
+    incident edge) can be v's edges into one component of G - {u, v}: they
+    contain no u-v edge and leave out at least one edge not to u.  `to`
+    maps each neighbour of v to the mask of v's edges to it, and full is
+    the mask of all of v's edges."""
+    to_u = to.get(u, 0)
+    return mask & to_u == 0 and mask != full & ~to_u
 
 
 def _is_3_connected(G: Multigraph) -> bool:
@@ -391,12 +392,19 @@ def _is_3_connected(G: Multigraph) -> bool:
         return True
 
     filed = defaultdict(list)
+    # The masks of each screened vertex's edges, to each neighbour and in all.
+    to: list[dict[int, int]] = [{} for _ in range(G.n)]
+    full = [0] * G.n
     for v in range(G.n):
         incident = G._incident[v]
         if len(incident) > _SCREEN_MAX_DEGREE:
             if not clear(v):
                 return False
             continue
+        for i, eid in enumerate(incident):
+            w = G.other_end(eid, v)
+            to[v][w] = to[v].get(w, 0) | 1 << i
+        full[v] = (1 << len(incident)) - 1
         xor = [0] * (1 << len(incident))
         for mask in range(1, len(xor) - 1):
             lowest = mask & -mask
@@ -409,8 +417,8 @@ def _is_3_connected(G: Multigraph) -> bool:
                     a != b
                     and a not in cleared
                     and b not in cleared
-                    and _may_face_component(G, a, a_mask, b)
-                    and _may_face_component(G, b, b_mask, a)
+                    and _may_face_component(to[a], full[a], a_mask, b)
+                    and _may_face_component(to[b], full[b], b_mask, a)
                     and not clear(a)
                 ):
                     return False

@@ -32,9 +32,13 @@ from typing import Optional
 from .factors import verify_factor
 from .multigraph import Multigraph
 
-# Column cap.  thm5 r=9 (216 columns, 57 rows) solves in about 20 ms, and
-# a random cubic graph with 255 edges in 50-100 ms, on a 2-core host.
-_LP_MAX_COLUMNS = 256
+# Size cap, in rows times columns; decide refuses larger LPs before the
+# simplex runs.  thm5 r=9 (57 rows by 216 columns, 12,312 cells), the
+# largest LP the threshold families need, solves in about 20 ms on a
+# 2-core host.  A random cubic graph with 255 edges (about 180 rows by 255
+# columns) takes 50-120 ms there, and a pipeline's cubic expansion with
+# 150 edges (about 108 by 149) 12-19 ms, and neither decides anything.
+_LP_MAX_CELLS = 12_500
 # Pivots and bound flips one LP may take before it stops where it is.
 _LP_MAX_PIVOTS = 1000
 _EPS = 1e-9
@@ -63,7 +67,7 @@ def decide(
     for e, (u, v) in enumerate(G.edges):
         if e not in fixed:
             classes.setdefault((min(u, v), max(u, v), edge_row[e]), []).append(e)
-    if len(classes) > _LP_MAX_COLUMNS or min(b, default=0) < 0:
+    if len(classes) * rows > _LP_MAX_CELLS or min(b, default=0) < 0:
         return False, None
     cols = list(classes)
     upper = [len(ids) for ids in classes.values()]

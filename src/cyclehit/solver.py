@@ -12,11 +12,12 @@ residual problems it has proven to have no solution, and skips them when
 they come up again.  None of this changes a verdict or a witness; it only
 shrinks the search.
 
-In modes none and hit, a search still undecided at node _LP_NODE pauses
-there for the LP relaxation (see relaxation): an exact Farkas certificate
-ends it UNSAT, an integral LP point that checks out is its witness, and
-otherwise the search resumes where it paused.  So the witness is the first
-solution in search order only when the search ends within _LP_NODE nodes.
+In modes none and hit, a search still undecided at node _LP_NODE (64)
+pauses there for the LP relaxation (see relaxation), which runs only on an
+LP within its size cap: an exact Farkas certificate ends the search UNSAT,
+an integral LP point that checks out is its witness, and otherwise the
+search resumes where it paused.  So the witness is the first solution in
+search order only when the search ends within _LP_NODE nodes.
 """
 
 from __future__ import annotations
@@ -102,8 +103,12 @@ _UNDEC, _IN, _OUT = 0, 1, 2
 # bytes.translate table: 1 for a decided edge, 0 for an undecided one.
 _DECIDED = bytes([0, 1, 1]).ljust(256, b"\0")
 # Node at which a search pauses for the LP relaxation (modes none and hit
-# only); a search that ends by then is untouched.
-_LP_NODE = 256
+# only); a search that ends by then is untouched.  The LP reads only the
+# graph, t, the cycles and the forced edges, so the node sets when it runs,
+# not what it decides.  The threshold families' LPs decide at once, so an
+# early pause saves the nodes before it; at 32, some of the pipelines'
+# small expansions, within the LP's size cap, would pay for the LP too.
+_LP_NODE = 64
 # Bytes one search may spend on its memo of failed residual problems, keys
 # and hash table together; once they are used up it stops recording, and
 # goes on looking up.
@@ -393,9 +398,10 @@ class _DegreeSearch:
         touch the interpreter stack.  Exhausted branch nodes go into the
         memo while it fits in _MEMO_BYTES.  In modes none and hit, a search
         still undecided at node _LP_NODE pauses there for the LP
-        relaxation: a Farkas certificate ends it with None, an integral LP
-        point that is a solution is returned instead of the first one, and
-        anything else resumes the search where it paused."""
+        relaxation, which refuses an LP over its size cap: a Farkas
+        certificate ends the search with None, an integral LP point that is
+        a solution is returned instead of the first one, and anything else
+        resumes the search where it paused."""
         forced = tuple(forced_in)
         self._build_pruning(forced)
         # Keys hold the degrees only while they fit in a byte.
@@ -484,8 +490,9 @@ def t_factor_oracle(
     space was exhausted, or in modes none and hit an exact Farkas
     certificate holds); budget exhaustion is reported as its own status,
     never as UNSAT.  The witness is the first one in search order when the
-    search ends within _LP_NODE nodes; past that node, in modes none and
-    hit, it may be an integral point of the LP relaxation instead.
+    search ends within _LP_NODE nodes (64); past that node, in modes none
+    and hit, it may be an integral point of the LP relaxation instead, when
+    that LP is within its size cap.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

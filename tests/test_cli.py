@@ -258,6 +258,11 @@ EXIT_CONTRACT = [
     pytest.param("oracle", ("--graph", "inputs/petersen.mg", "--t", "1",
                             "--max-seconds", "nan"),
                  None, 2, "", "error: max_seconds must be positive\n", id="oracle-2-nan"),
+    # The witness is written before the verdict is printed, so a failed
+    # write leaves stdout empty.
+    pytest.param("oracle", ("--graph", "inputs/petersen.mg", "--cycles", "inputs/petersen.cyc",
+                            "--t", "1", "--mode", "hit", "--out", "missing/x.fac"),
+                 None, 2, "", "error: cannot write missing/x.fac", id="oracle-2-unwritable-out"),
     ("verify", ("--graph", "inputs/petersen.mg", "--factor", "inputs/petersen_t1.fac",
                 "--t", "1"),
      None, 0, "true\n", ""),

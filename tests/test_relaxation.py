@@ -1,14 +1,17 @@
 """The LP stage's simplex and exact check against their first forms in
 conftest: on LPs captured from relaxation.decide, _phase1 must stop at the
 same floats under every pivot cap, and the integer _certifies must give the
-Fraction check's answer on the duals it stopped at."""
+Fraction check's answer on the duals it stopped at.  Also the size cap of
+decide: which LPs it refuses, and that the largest threshold LP passes."""
 
+import sys
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from cyclehit import (
-    gen_sec6_2k, gen_thm4, gen_thm5, pack_cycles, random_regular_multigraph, relaxation,
+    Factor, gen_sec6_2k, gen_thm4, gen_thm5, pack_cycles, random_regular_multigraph,
+    relaxation, verify_factor, verify_intersections,
 )
 from conftest import factor_instances, reference_certifies, reference_phase1
 
@@ -17,7 +20,7 @@ PIVOT_CAPS = (0, 1, 2, 3, 5, 1000)
 
 def _captured(calls) -> list[tuple]:
     """The arguments of every _phase1 call that relaxation.decide makes on
-    calls, a list of (G, t, cycles, forced)."""
+    calls, a list of (G, t, cycles, forced), with its size cap lifted."""
     lps = []
     solve = relaxation._phase1
 
@@ -25,7 +28,8 @@ def _captured(calls) -> list[tuple]:
         lps.append(lp)
         return solve(*lp)
 
-    with mock.patch.object(relaxation, "_phase1", record):
+    with mock.patch.object(relaxation, "_phase1", record), \
+            mock.patch.object(relaxation, "_LP_MAX_CELLS", sys.maxsize):
         for G, t, cycles, forced in calls:
             relaxation.decide(G, t, cycles, forced)
     return lps
@@ -67,7 +71,8 @@ def test_phase1_keeps_its_pivot_path_on_threshold_lps():
 
 
 def test_phase1_keeps_its_pivot_path_on_random_regular_lps():
-    """Up to 255 columns, the largest LP a search pauses for."""
+    """Up to 255 columns, on LPs above decide's size cap as well as below
+    it, so that the pivot path is pinned on large LPs too."""
     calls = []
     for n, r, t in ((170, 3, 1), (100, 3, 1), (60, 4, 2), (40, 6, 2)):
         for seed in (1, 4):
@@ -76,6 +81,33 @@ def test_phase1_keeps_its_pivot_path_on_random_regular_lps():
     lps = _captured(calls)
     assert max(len(cols) for cols, *_ in lps) == 255
     _assert_same_path(lps)
+
+
+def test_decide_refuses_lps_above_its_size_cap():
+    """A random cubic graph with 255 edges gives an LP of about 180 rows by
+    255 columns, over _LP_MAX_CELLS, which decide refuses before the
+    simplex runs: the simplex takes 50-120 ms there and decides nothing."""
+    for seed in (1, 2, 3):
+        G = random_regular_multigraph(170, 3, seed)
+        cycles = tuple(pack_cycles(G).cycles)
+        with mock.patch.object(relaxation, "_phase1", wraps=relaxation._phase1) as phase1:
+            assert relaxation.decide(G, 1, cycles, ()) == (False, None), seed
+        assert phase1.call_count == 0, seed
+
+
+def test_decide_settles_thm5_r9_under_its_size_cap():
+    """thm5 r=9 (57 rows by 216 columns) is the largest LP that criterion 2
+    needs: a certificate at t = 1 and 2, and a verified point at t = 3.  A
+    cap below its size fails here at once, where criterion 2's searches
+    would run on past the LP stage's node."""
+    inst = gen_thm5(9)
+    G, cycles = inst.graph, tuple(inst.cycles.cycles)
+    for t in (1, 2):
+        assert relaxation.decide(G, t, cycles, ()) == (True, None), t
+    decided, ids = relaxation.decide(G, 3, cycles, ())
+    assert decided and ids is not None
+    F = Factor(G, 3, ids)
+    assert verify_factor(G, F, 3) and verify_intersections(F, inst.cycles, "hit")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
