@@ -32,20 +32,24 @@ def cycle_vertices(host: Multigraph, cycle: Sequence[int]) -> tuple[int, ...]:
         raise GraphError("a cycle needs at least 2 edges")
     if len(set(cycle)) != k:
         raise GraphError(f"repeated edge id in cycle {list(cycle)}")
-    ends = [set(host.endpoints(e)) for e in cycle]
+    ends = [host.edges[e] for e in cycle]
     if k == 2:
-        if ends[0] != ends[1]:
+        (a, b), (c, d) = ends
+        if (a, b) != (c, d) and (a, b) != (d, c):
             raise GraphError(f"edges {list(cycle)} are not parallel")
-        u, v = host.endpoints(cycle[0])
-        return (min(u, v), max(u, v))
+        return (min(a, b), max(a, b))
+    # Edges have two distinct ends, so consecutive edges (a, b) and (c, d)
+    # chain through a or b when exactly one of them is c or d.
     walk = []
-    for i in range(k):
-        common = ends[i - 1] & ends[i]
-        if len(common) != 1:
+    a, b = ends[-1]
+    for i, (c, d) in enumerate(ends):
+        at_a = a == c or a == d
+        if at_a == (b == c or b == d):
             raise GraphError(
                 f"edges {cycle[i - 1]} and {cycle[i]} do not chain into a cycle"
             )
-        walk.append(common.pop())
+        walk.append(a if at_a else b)
+        a, b = c, d
     if len(set(walk)) != k:
         raise GraphError(f"cycle {list(cycle)} repeats a vertex")
     return tuple(walk)
@@ -62,10 +66,11 @@ class CycleSet:
         # on this to name its line).
         checked = []
         seen: set[int] = set()
+        m = host.m
         for c in cycles:
             c = tuple(int(e) for e in c)
             for e in c:
-                if not (0 <= e < host.m):
+                if not (0 <= e < m):
                     raise GraphError(f"edge id {e} out of range")
                 if e in seen:
                     raise GraphError(f"cycles are not edge-disjoint at edge {e}")

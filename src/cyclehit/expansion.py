@@ -32,21 +32,6 @@ class ExpansionMap:
     expanded: Multigraph
 
 
-def _cycle_pairs_at_vertices(
-    G: Multigraph, O: CycleSet
-) -> list[list[tuple[int, tuple[int, int]]]]:
-    """For each vertex, the (cycle index, edge pair) entries of cycles
-    passing through it.  Pairs are disjoint since cycles are edge-disjoint
-    and visit a vertex at most once."""
-    at_vertex: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(G.n)]
-    for ci, cyc in enumerate(O.cycles):
-        walk = cycle_vertices(G, cyc)
-        k = len(cyc)
-        for i, v in enumerate(walk):
-            at_vertex[v].append((ci, (cyc[i - 1], cyc[i % k])))
-    return at_vertex
-
-
 def cubic_expansion(
     G: Multigraph, O: CycleSet, tree: GadgetTree
 ) -> tuple[ExpansionMap, CycleSet]:
@@ -55,6 +40,9 @@ def cubic_expansion(
 
     G must be L-regular for the L leaves of tree: third_pipeline passes the
     3t-leaf claw-grown tree, the half orientation the 2t-leaf even tree.
+    Built in one pass over the edge ends as slots: each two consecutive
+    edges of a cycle take one sibling group at their shared vertex, in
+    cycle order, and every other end takes a slot left at its vertex.
     Returns the expansion map and the induced cycle set (same edge ids).
     """
     required = len(tree.leaves)
@@ -88,30 +76,34 @@ def cubic_expansion(
     for g in pair_groups:
         free[g] -= 2
         single_slots.append([g for g, c in enumerate(free) for _ in range(c)])
-    at_vertex = _cycle_pairs_at_vertices(G, O)
-    # endpoint_vertex[(eid, v)] -> expanded vertex replacing endpoint v of eid
-    endpoint_vertex: dict[tuple[int, int], int] = {}
-    for v in range(G.n):
-        offset = v * block
-        pairs = [pair for _, pair in sorted(at_vertex[v])]
-        if len(pairs) > len(pair_groups):
+    # end[2e + i]: the expanded vertex replacing endpoint i of edge e, where
+    # i = 0 stands for G.edges[e][0]; -1 while unset.  A cycle visits a
+    # vertex at most once, so each vertex takes its pairs in cycle index
+    # order.
+    edges = G.edges
+    end = [-1] * (2 * G.m)
+    npairs = [0] * G.n
+    for cyc in O.cycles:
+        for v, e, f in zip(cycle_vertices(G, cyc), cyc[-1:] + cyc[:-1], cyc):
+            p = npairs[v]
+            npairs[v] = p + 1
+            if p < len(pair_groups):
+                x = v * block + group_vertex[pair_groups[p]]
+                end[2 * e + (edges[e][0] != v)] = end[2 * f + (edges[f][0] != v)] = x
+    for v, p in enumerate(npairs):
+        if p > len(pair_groups):
             raise AssertionError(
-                f"vertex {v} carries {len(pairs)} cycle pairs but the gadget "
+                f"vertex {v} carries {p} cycle pairs but the gadget "
                 f"tree offers only groups of sizes {group_capacity}"
             )
-        for (e, f), g in zip(pairs, pair_groups):
-            endpoint_vertex[(e, v)] = endpoint_vertex[(f, v)] = offset + group_vertex[g]
-        singles = [e for e in G.incident(v) if (e, v) not in endpoint_vertex]
-        for e, g in zip(singles, single_slots[len(pairs)], strict=True):
-            endpoint_vertex[(e, v)] = offset + group_vertex[g]
+        at_v = [2 * e + (edges[e][0] != v) for e in G.incident(v)]
+        for i, g in zip([i for i in at_v if end[i] < 0], single_slots[p], strict=True):
+            end[i] = v * block + group_vertex[g]
 
-    new_edges = [
-        (endpoint_vertex[(e, u)], endpoint_vertex[(e, v)])
-        for e, (u, v) in enumerate(G.edges)
+    new_edges = list(zip(end[0::2], end[1::2]))
+    new_edges += [
+        (v * block + a, v * block + b) for v in range(G.n) for a, b in interior_edges
     ]
-    for v in range(G.n):
-        offset = v * block
-        new_edges.extend((offset + a, offset + b) for a, b in interior_edges)
     expanded = Multigraph(G.n * block, new_edges)
     if expanded.is_regular() != 3:
         raise AssertionError("cubic expansion produced a non-cubic graph")

@@ -8,7 +8,7 @@ perfect-matching peeling of the resulting regular bipartite graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .cycles import CycleSet
 from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
@@ -41,8 +41,9 @@ class Factor:
         ids = tuple(sorted(set(int(e) for e in self.edge_ids)))
         if len(ids) != len(self.edge_ids):
             raise GraphError("factor edge ids must be distinct")
+        m = self.host.m
         for e in ids:
-            if not (0 <= e < self.host.m):
+            if not (0 <= e < m):
                 raise GraphError(f"edge id {e} out of range")
         object.__setattr__(self, "edge_ids", ids)
 
@@ -151,6 +152,12 @@ def two_factorization(G: Multigraph) -> list[Factor]:
     peel perfect matchings of the tail/head bipartite graph; each matching
     gives every vertex one out-edge and one in-edge, i.e. a 2-factor.
     """
+    return list(_two_factors(G))
+
+
+def _two_factors(G: Multigraph) -> Iterator[Factor]:
+    """The 2-factors of two_factorization, each peeled when it is asked
+    for, from what the earlier ones left."""
     r = G.is_regular()
     if r is None:
         raise GraphError("graph is not regular")
@@ -158,14 +165,13 @@ def two_factorization(G: Multigraph) -> list[Factor]:
         raise GraphError("graph has odd regularity")
     k = r // 2
     if k == 0:
-        return []
+        return
     heads = balanced_orientation(G).head
     remaining: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
     for e in range(G.m):
         head = heads[e]
         tail = G.other_end(e, head)
         remaining[tail].append((e, head))
-    factors = []
     for _ in range(k):
         match_head = _bipartite_perfect_matching(G.n, remaining)
         if match_head is None or any(m == -1 for m in match_head):
@@ -177,8 +183,7 @@ def two_factorization(G: Multigraph) -> list[Factor]:
         F = Factor(G, 2, tuple(chosen))
         if not verify_factor(G, F, 2):
             raise GraphError("peeled edge set is not a 2-factor")  # unreachable
-        factors.append(F)
-    return factors
+        yield F
 
 
 def parse_factor(text: str | bytes, host: Multigraph) -> Factor:

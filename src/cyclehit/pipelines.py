@@ -14,11 +14,12 @@ exact search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .cycles import CycleSet
 from .expansion import cubic_expansion, split_factor
-from .factors import Factor, two_factorization, verify_factor, verify_intersections
+from .factors import Factor, _two_factors, verify_factor, verify_intersections
 from .gadgets import build_even_leaf_tree, build_gadget_tree
 from .multigraph import GraphError, Multigraph, is_k_connected
 from .orientation import Orientation, balanced_orientation, verify_orientation
@@ -204,7 +205,7 @@ def extend_factor(G: Multigraph, F: Factor, l: int) -> Factor:
     rest = Multigraph(G.n, [G.edges[e] for e in rest_ids])
     needed = (l - F.t) // 2
     extra: list[int] = []
-    for two_factor in two_factorization(rest)[:needed]:
+    for two_factor in islice(_two_factors(rest), needed):
         extra.extend(rest_ids[e] for e in two_factor.edge_ids)
     result = Factor(G, l, tuple(sorted(fset | set(extra))))
     if not verify_factor(G, result, l):

@@ -529,3 +529,99 @@ def reference_split_factor(G: Multigraph, D, O: CycleSet, t: int):
 
     M = set(bipartite_alternating_matching(split_expansion(G, D, O)))
     return Factor(G, t, tuple(e for e in range(G.m) if e in M))
+
+
+# ------------------------------------------------- expansion references
+
+def reference_cycle_vertices(host: Multigraph, cycle) -> tuple[int, ...]:
+    """cycles.cycle_vertices in its first form, which intersects the
+    endpoint sets of consecutive edges; cycle_vertices must return the same
+    walk and raise the same GraphError messages."""
+    k = len(cycle)
+    if k < 2:
+        raise GraphError("a cycle needs at least 2 edges")
+    if len(set(cycle)) != k:
+        raise GraphError(f"repeated edge id in cycle {list(cycle)}")
+    ends = [set(host.endpoints(e)) for e in cycle]
+    if k == 2:
+        if ends[0] != ends[1]:
+            raise GraphError(f"edges {list(cycle)} are not parallel")
+        u, v = host.endpoints(cycle[0])
+        return (min(u, v), max(u, v))
+    walk = []
+    for i in range(k):
+        common = ends[i - 1] & ends[i]
+        if len(common) != 1:
+            raise GraphError(
+                f"edges {cycle[i - 1]} and {cycle[i]} do not chain into a cycle"
+            )
+        walk.append(common.pop())
+    if len(set(walk)) != k:
+        raise GraphError(f"cycle {list(cycle)} repeats a vertex")
+    return tuple(walk)
+
+
+def reference_cubic_expansion(G: Multigraph, O: CycleSet, tree):
+    """expansion.cubic_expansion in its first form: collect each vertex's
+    (cycle index, edge pair) entries, sort them, and fill a dict keyed by
+    (edge, vertex) that is probed once per edge end."""
+    from cyclehit import ExpansionMap
+
+    required = len(tree.leaves)
+    if G.is_regular() != required:
+        raise GraphError(f"a {required}-leaf gadget tree needs a {required}-regular graph")
+    if O.host != G:
+        raise GraphError("cycle set does not belong to this graph")
+
+    internal = tree.internal_vertices()
+    local_rank = {v: i for i, v in enumerate(internal)}
+    group_vertex = [
+        local_rank[tree.tree.other_end(tree.tree.incident(g[0])[0], g[0])]
+        for g in tree.sibling_groups
+    ]
+    group_capacity = [len(g) for g in tree.sibling_groups]
+    interior_edges = [
+        (local_rank[u], local_rank[v])
+        for u, v in tree.tree.edges
+        if u in local_rank and v in local_rank
+    ]
+    block = len(internal)
+
+    pair_groups = [g for g, c in enumerate(group_capacity) for _ in range(c // 2)]
+    free = list(group_capacity)
+    single_slots = [[g for g, c in enumerate(free) for _ in range(c)]]
+    for g in pair_groups:
+        free[g] -= 2
+        single_slots.append([g for g, c in enumerate(free) for _ in range(c)])
+    at_vertex: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(G.n)]
+    for ci, cyc in enumerate(O.cycles):
+        walk = reference_cycle_vertices(G, cyc)
+        k = len(cyc)
+        for i, v in enumerate(walk):
+            at_vertex[v].append((ci, (cyc[i - 1], cyc[i % k])))
+    endpoint_vertex: dict[tuple[int, int], int] = {}
+    for v in range(G.n):
+        offset = v * block
+        pairs = [pair for _, pair in sorted(at_vertex[v])]
+        if len(pairs) > len(pair_groups):
+            raise AssertionError(
+                f"vertex {v} carries {len(pairs)} cycle pairs but the gadget "
+                f"tree offers only groups of sizes {group_capacity}"
+            )
+        for (e, f), g in zip(pairs, pair_groups):
+            endpoint_vertex[(e, v)] = endpoint_vertex[(f, v)] = offset + group_vertex[g]
+        singles = [e for e in G.incident(v) if (e, v) not in endpoint_vertex]
+        for e, g in zip(singles, single_slots[len(pairs)], strict=True):
+            endpoint_vertex[(e, v)] = offset + group_vertex[g]
+
+    new_edges = [
+        (endpoint_vertex[(e, u)], endpoint_vertex[(e, v)])
+        for e, (u, v) in enumerate(G.edges)
+    ]
+    for v in range(G.n):
+        offset = v * block
+        new_edges.extend((offset + a, offset + b) for a, b in interior_edges)
+    expanded = Multigraph(G.n * block, new_edges)
+    if expanded.is_regular() != 3:
+        raise AssertionError("cubic expansion produced a non-cubic graph")
+    return ExpansionMap(expanded), CycleSet(expanded, O.cycles)

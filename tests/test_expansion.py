@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclehit import (
     CycleSet,
@@ -20,7 +21,7 @@ from cyclehit import (
     verify_factor,
     verify_intersections,
 )
-from conftest import doubled_triangle, k4, reference_split_factor
+from conftest import doubled_triangle, k4, reference_cubic_expansion, reference_split_factor
 
 
 def test_cubic_expansion_third_on_cubic_graph():
@@ -51,6 +52,36 @@ def test_cubic_expansion_consecutive_cycle_edges_stay_adjacent():
     assert xmap.expanded.is_regular() == 3
     for cyc in induced.cycles:
         cycle_vertices(xmap.expanded, cyc)  # raises if adjacency was broken
+
+
+TREES = {
+    **{f"claw-t{t}": (3 * t, build_gadget_tree(t)) for t in (1, 2, 3)},
+    **{f"even-{L}": (L, build_even_leaf_tree(L)) for L in (4, 6, 8)},
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    tree=st.sampled_from(sorted(TREES)),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 10**6),
+    parity=st.sampled_from(["odd", None]),
+)
+def test_cubic_expansion_matches_its_first_form(tree, n, seed, parity):
+    """The expansion walked over endpoint slots equals the one built from
+    sorted per-vertex pairs and an (edge, vertex) dict
+    (conftest.reference_cubic_expansion): the same expanded graph and the
+    same induced cycles, on every claw-grown and even-leaf tree used."""
+    L, T = TREES[tree]
+    if n * L % 2:
+        n += 1
+    G = random_regular_multigraph(n, L, seed, min_connectivity=0)
+    O = pack_cycles(G, parity=parity)
+    xmap, induced = cubic_expansion(G, O, T)
+    ref_map, ref_induced = reference_cubic_expansion(G, O, T)
+    assert xmap == ref_map
+    assert induced.host == ref_induced.host
+    assert induced.cycles == ref_induced.cycles == O.cycles
 
 
 def test_cubic_expansion_rejects_wrong_regularity():

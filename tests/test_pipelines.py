@@ -1,3 +1,5 @@
+from unittest import mock
+
 import networkx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,11 +21,13 @@ from cyclehit import (
     random_regular_multigraph,
     t_factor_oracle,
     third_pipeline,
+    two_factorization,
     verify_factor,
     verify_intersections,
     verify_orientation,
     vertex_connectivity,
 )
+from cyclehit import factors
 from conftest import circulant, doubled_triangle, k4
 
 
@@ -106,6 +110,28 @@ def test_extend_factor():
     assert len(F4.edge_ids) == G.m  # l = r: the whole edge set
     assert verify_intersections(F4, inst.cycles, "hit")
     assert extend_factor(G, F, 2) is F
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_extend_factor_peels_only_the_two_factors_it_keeps(seed):
+    """extend_factor keeps the first (l - t)/2 2-factors of the complement
+    that two_factorization gives, and peels a perfect matching for those
+    alone, not for all (r - t)/2 of them."""
+    G = random_regular_multigraph(100, 16, seed)
+    F = two_factorization(G)[0]
+    rest_ids = [e for e in range(G.m) if e not in F.edge_set()]
+    complement = two_factorization(Multigraph(G.n, [G.edges[e] for e in rest_ids]))
+    for l in (4, 6):
+        needed = (l - F.t) // 2
+        first_form = set(F.edge_ids)
+        for two_factor in complement[:needed]:
+            first_form.update(rest_ids[e] for e in two_factor.edge_ids)
+        with mock.patch.object(
+            factors, "_bipartite_perfect_matching", wraps=factors._bipartite_perfect_matching
+        ) as peel:
+            L = extend_factor(G, F, l)
+        assert L == Factor(G, l, tuple(sorted(first_form)))
+        assert peel.call_count == needed
 
 
 def test_extend_factor_validation():
