@@ -27,6 +27,11 @@ def random_regular_multigraph(
     until it is loop-free and meets the connectivity requirement."""
     if n * r % 2 == 1:
         raise GraphError("n*r must be even")
+    if min_connectivity > 0 and min(r, n - 1) < min_connectivity:
+        raise GraphError(
+            f"no {r}-regular multigraph on {n} vertices is {min_connectivity}-connected:"
+            f" vertex connectivity is at most min(r, n - 1) = {min(r, n - 1)}"
+        )
     rng = random.Random(seed)
     for _ in range(_MAX_TRIES):
         stubs = [v for v in range(n) for _ in range(r)]

@@ -8,8 +8,7 @@ Parallel edges are allowed, loops are not.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Optional
 
 __all__ = [
@@ -26,8 +25,8 @@ __all__ = [
 # Seed of the random cycle-space edge labels.  The labels only choose what
 # to test exactly, so no result depends on it.
 _LABEL_SEED = 0x2C0C1E
-# The 3-connectivity test screens a vertex by the XORs of all subsets of its
-# edges; above this degree it checks G - v directly instead.
+# The 3-connectivity test screens a vertex by the XORs of one side of every
+# split of its edges; above this degree it checks G - v directly instead.
 _SCREEN_MAX_DEGREE = 8
 
 
@@ -355,14 +354,15 @@ def bridge_sides(G: Multigraph) -> list[tuple[int, int, int]]:
     return sides
 
 
-def _may_face_component(to: dict[int, int], full: int, mask: int, u: int) -> bool:
-    """Whether the edges at a vertex v selected by mask (bit i for v's i-th
-    incident edge) can be v's edges into one component of G - {u, v}: they
-    contain no u-v edge and leave out at least one edge not to u.  `to`
-    maps each neighbour of v to the mask of v's edges to it, and full is
-    the mask of all of v's edges."""
-    to_u = to.get(u, 0)
-    return mask & to_u == 0 and mask != full & ~to_u
+def _may_face_component(G: Multigraph, v: int, mask: int, u: int) -> bool:
+    """Whether one side of the split of v's edges by mask (bit i for v's
+    i-th incident edge) can be v's edges into one component of G - {u, v}:
+    that side holds no u-v edge, and the other side holds every u-v edge
+    and at least one edge not to u."""
+    incident = G._incident[v]
+    to_u = sum(1 << i for i, eid in enumerate(incident) if u in G.edges[eid])
+    side = mask if mask & to_u else (1 << len(incident)) - 1 ^ mask  # any u-v edge here
+    return side & to_u == to_u != side
 
 
 def _is_3_connected(G: Multigraph) -> bool:
@@ -371,13 +371,19 @@ def _is_3_connected(G: Multigraph) -> bool:
     2-vertex cut containing v.
 
     If G - {a, b} has a component C, the edges from C to a and from C to b
-    together form the cut around C, so their label XORs are equal.  Each
-    vertex of degree at most _SCREEN_MAX_DEGREE files the XOR of every
-    non-empty proper subset of its edges; a and b can be a 2-vertex cut only
-    if they file the same value for edge sets that pass _may_face_component.
-    Every such a, and every vertex of higher degree, has G - a checked
-    exactly, so the answer never depends on the labels.  On bounded degree
-    this is O(n + m) unless labels collide or a 2-vertex cut is found.
+    together form the cut around C, so their label XORs are equal.  The
+    edges at a vertex form the cut around it and XOR to exactly 0, so a set
+    of them and its complement XOR alike: each vertex of degree at most
+    _SCREEN_MAX_DEGREE files, per split of its edges in two, the XOR of the
+    side without its first edge.  a and b can be a 2-vertex cut only if they
+    file the same value for splits that pass _may_face_component.  Each edge
+    e = uv is filed at u and at v by the split e | all but e, and that pair
+    never passes: at u only the side without e can face a component, which
+    leaves e, an edge to v, alone on the other.  So a value filed by just
+    these two is not tested.  Every other candidate a, and every vertex of
+    higher degree, has G - a checked exactly, so the answer never depends on
+    the labels.  On bounded degree this is O(n + m) unless labels collide or
+    a 2-vertex cut is found.
     """
     tree = _biconnected_tree(G)
     if tree is None:
@@ -391,37 +397,35 @@ def _is_3_connected(G: Multigraph) -> bool:
         cleared.add(v)
         return True
 
-    filed = defaultdict(list)
-    # The masks of each screened vertex's edges, to each neighbour and in all.
-    to: list[dict[int, int]] = [{} for _ in range(G.n)]
-    full = [0] * G.n
+    # XOR -> [(v, mask, the edge e if mask is {e} or all but e, else -1)]
+    filed: dict[int, list[tuple[int, int, int]]] = {}
     for v in range(G.n):
         incident = G._incident[v]
         if len(incident) > _SCREEN_MAX_DEGREE:
             if not clear(v):
                 return False
             continue
-        for i, eid in enumerate(incident):
-            w = G.other_end(eid, v)
-            to[v][w] = to[v].get(w, 0) | 1 << i
-        full[v] = (1 << len(incident)) - 1
-        xor = [0] * (1 << len(incident))
-        for mask in range(1, len(xor) - 1):
+        full = (1 << len(incident)) - 1
+        xor = [0] * full
+        for mask in range(2, full, 2):  # the subsets without v's first edge
             lowest = mask & -mask
-            xor[mask] = xor[mask ^ lowest] ^ label[incident[lowest.bit_length() - 1]]
-            filed[xor[mask]].append((v, mask))
+            eid = incident[lowest.bit_length() - 1]
+            x = xor[mask] = xor[mask ^ lowest] ^ label[eid]
+            lone = eid if mask == lowest else incident[0] if mask == full - 1 else -1
+            filed.setdefault(x, []).append((v, mask, lone))
     for entries in filed.values():
-        for i, (a, a_mask) in enumerate(entries):
-            for b, b_mask in entries[i + 1:]:
-                if (
-                    a != b
-                    and a not in cleared
-                    and b not in cleared
-                    and _may_face_component(to[a], full[a], a_mask, b)
-                    and _may_face_component(to[b], full[b], b_mask, a)
-                    and not clear(a)
-                ):
-                    return False
+        if len(entries) == 2 and entries[0][2] == entries[1][2] >= 0:
+            continue  # one edge, filed at its two ends
+        for (a, a_mask, _), (b, b_mask, _) in combinations(entries, 2):
+            if (
+                a != b
+                and a not in cleared
+                and b not in cleared
+                and _may_face_component(G, a, a_mask, b)
+                and _may_face_component(G, b, b_mask, a)
+                and not clear(a)
+            ):
+                return False
     return True
 
 
@@ -431,8 +435,8 @@ def is_k_connected(G: Multigraph, k: int) -> bool:
     k <= 1 is a connectivity test and k = 2 one low-point search.  k = 3
     requires n >= 4, G 2-connected and G - v 2-connected for every vertex v;
     edge labels (see _is_3_connected) skip the vertices that cannot be in a
-    2-vertex cut, so the cost is O(n (n + m)) at worst and near-linear on
-    bounded degree.  Larger k falls back to the exact vertex_connectivity.
+    2-vertex cut: O(n (n + m)) at worst, and one search and 3 label XORs per
+    vertex on a 3-connected cubic graph.  Larger k uses vertex_connectivity.
     """
     if k <= 0:
         return True

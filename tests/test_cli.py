@@ -231,6 +231,12 @@ EXIT_CONTRACT = [
     ("gen", ("--family", "random", "--n", "10", "--r", "4", "--out", "out/p.mg",
              "--cycles", "out/p.cyc"),
      "cyclehit.instances._find_cycle", 4, "", "Traceback"),
+    # No 1-regular graph is 2-connected, so the generator refuses before it draws.
+    pytest.param("gen", ("--family", "random", "--n", "10", "--r", "1", "--seed", "1",
+                         "--out", "out/p.mg", "--cycles", "out/p.cyc"),
+                 None, 2, "", "error: no 1-regular multigraph on 10 vertices is "
+                 "2-connected: vertex connectivity is at most min(r, n - 1) = 1\n",
+                 id="gen-2-connectivity-out-of-reach"),
     ("solve", ("--pipeline", "half", *_R4, "--t", "2"),
      None, 0, "ok t=2 hits=hit-and-cohit nodes=", ""),
     ("solve", ("--pipeline", "half", *_R4, "--t", "3"),

@@ -5,9 +5,10 @@ graph, parity and length cap, and its depth must not grow the stack."""
 
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclehit import Multigraph, cycle_vertices, instances, pack_cycles, random_regular_multigraph
+from cyclehit import GraphError, Multigraph, cycle_vertices, instances, pack_cycles, random_regular_multigraph
 from conftest import reference_pack_cycles
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -35,6 +36,24 @@ def test_pack_cycles_matches_reference_on_any_multigraph(graph, parity, max_len)
     n, steps = graph
     G = Multigraph(n, [(u, (u + s) % n) for u, s in steps if s % n])
     assert list(pack_cycles(G, parity, max_len).cycles) == reference_pack_cycles(G, parity, max_len)
+
+
+@pytest.mark.parametrize("n, r, k", [(2000, 2, 3), (10, 1, 2), (4, 6, 4), (1, 0, 1)])
+def test_unreachable_connectivity_is_refused_before_any_draw(monkeypatch, n, r, k):
+    """Vertex connectivity is at most r and at most n - 1, so these requests
+    raise at once instead of spending every draw."""
+    def spy(*args):
+        raise AssertionError("is_k_connected was called")
+
+    monkeypatch.setattr(instances, "is_k_connected", spy)
+    with pytest.raises(GraphError, match=rf"at most min\(r, n - 1\) = {min(r, n - 1)}$"):
+        random_regular_multigraph(n, r, 1, min_connectivity=k)
+
+
+def test_reachable_connectivity_keeps_its_draws():
+    # The bound is tight: K4 as a 3-regular graph on 4 vertices is 3-connected.
+    assert random_regular_multigraph(4, 3, 1, min_connectivity=3).n == 4
+    assert random_regular_multigraph(6, 0, 1, min_connectivity=0).m == 0
 
 
 def test_pack_cycles_long_cycle_within_default_recursion_limit():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cyclehit import (
@@ -6,9 +8,12 @@ from cyclehit import (
     Multigraph,
     is_k_connected,
     parse_multigraph,
+    petersen,
+    random_regular_multigraph,
     vertex_connectivity,
 )
-from cyclehit.multigraph import bridge_sides
+from cyclehit import multigraph
+from cyclehit.multigraph import _SCREEN_MAX_DEGREE, _cut_labels, _dfs, bridge_sides
 from conftest import (
     bowtie, c4, doubled_triangle, k4, naive_vertex_connectivity, prism, reference_components,
 )
@@ -88,3 +93,94 @@ def test_bridge_sides_is_linear_in_the_number_of_components():
     sides = bridge_sides(G)
     assert len(sides) == k
     assert {(min(p, v), size) for p, v, size in sides} == {(2 * i, 1) for i in range(k)}
+
+
+def _brute_force_3_connected(G: Multigraph) -> bool:
+    """n >= 4, and G minus any two vertices is connected."""
+    if G.n < 4:
+        return False
+    for a in range(G.n):
+        for b in range(a + 1, G.n):
+            rest = {v: i for i, v in enumerate(w for w in range(G.n) if w not in (a, b))}
+            H = Multigraph(len(rest), [(rest[u], rest[v]) for u, v in G.edges
+                                       if u in rest and v in rest])
+            if len(reference_components(H)) > 1:
+                return False
+    return True
+
+
+def _planted_cut(rng: random.Random, joins: int) -> Multigraph:
+    """Two random sides that meet only at two cut vertices, which are
+    joined by `joins` parallel edges; vertex and edge ids shuffled."""
+    sides, edges, n = [], [], 2
+    for _ in range(2):
+        size = rng.randint(1, 5)
+        side = list(range(n, n + size))
+        n += size
+        sides.append(side)
+        edges += [(side[i - 1], side[i]) for i in range(1, size)]
+        if size > 2:
+            edges.append((side[0], side[-1]))
+        if size > 1:
+            edges += [tuple(rng.sample(side, 2)) for _ in range(rng.randint(0, size))]
+        for cut_vertex in (0, 1):
+            edges += [(cut_vertex, rng.choice(side)) for _ in range(rng.randint(1, 3))]
+    edges += [(0, 1)] * joins
+    rename = rng.sample(range(n), n)
+    rng.shuffle(edges)
+    return Multigraph(n, [(rename[u], rename[v]) for u, v in edges])
+
+
+def _assert_screen_matches_brute_force(G: Multigraph):
+    assert is_k_connected(G, 3) == _brute_force_3_connected(G), G.edges
+    if G.is_connected():
+        # A vertex's edges form a cut, so their labels XOR to exactly 0; the
+        # screen files one of each complementary pair of subsets on it.
+        order, parent_edge, _ = _dfs(G, (0,), [-1] * G.n)
+        label = _cut_labels(G, order, parent_edge)
+        for v in range(G.n):
+            xor = 0
+            for eid in G.incident(v):
+                xor ^= label[eid]
+            assert xor == 0, v
+
+
+def test_3_connectivity_matches_brute_force_on_random_regular_multigraphs():
+    rng = random.Random(20)
+    degrees = []
+    for _ in range(160):
+        r = rng.randint(3, 10)
+        n = rng.randint(4, 20)
+        n += n * r % 2
+        G = random_regular_multigraph(n, r, rng.randrange(2**31), min_connectivity=0)
+        degrees.append(r)
+        _assert_screen_matches_brute_force(G)
+    assert min(degrees) <= _SCREEN_MAX_DEGREE < max(degrees)
+
+
+@pytest.mark.parametrize("joins", [0, 1, 2], ids=["not-adjacent", "adjacent", "parallel"])
+def test_3_connectivity_matches_brute_force_on_planted_2_vertex_cuts(joins):
+    rng = random.Random(joins)
+    reached_the_screen = 0
+    for _ in range(150):
+        G = _planted_cut(rng, joins)
+        assert not is_k_connected(G, 3)
+        _assert_screen_matches_brute_force(G)
+        reached_the_screen += is_k_connected(G, 2)
+    assert reached_the_screen >= 50
+
+
+@pytest.mark.parametrize("G", [petersen(), *(prism(k) for k in range(3, 9))],
+                         ids=["petersen", *(f"prism{k}" for k in range(3, 9))])
+def test_3_connected_cubic_graphs_need_no_pair_test(monkeypatch, G):
+    """Each edge's label is filed once at each end and nowhere else, so
+    the screen ends after one search, the labels and the filing."""
+    calls = {"_may_face_component": 0, "_biconnected_tree": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(multigraph, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(multigraph, name, counted)
+    assert is_k_connected(G, 3)
+    assert calls == {"_may_face_component": 0, "_biconnected_tree": 1}
