@@ -50,7 +50,7 @@ def test_unreachable_connectivity_is_refused_before_any_draw(monkeypatch, n, r, 
         random_regular_multigraph(n, r, 1, min_connectivity=k)
 
 
-def test_reachable_connectivity_keeps_its_draws():
+def test_reachable_connectivity_is_not_refused():
     # The bound is tight: K4 as a 3-regular graph on 4 vertices is 3-connected.
     assert random_regular_multigraph(4, 3, 1, min_connectivity=3).n == 4
     assert random_regular_multigraph(6, 0, 1, min_connectivity=0).m == 0

@@ -112,12 +112,11 @@ def _brute_force_3_connected(G: Multigraph) -> bool:
 def _planted_cut(rng: random.Random, joins: int) -> Multigraph:
     """Two random sides that meet only at two cut vertices, which are
     joined by `joins` parallel edges; vertex and edge ids shuffled."""
-    sides, edges, n = [], [], 2
+    edges, n = [], 2
     for _ in range(2):
         size = rng.randint(1, 5)
         side = list(range(n, n + size))
         n += size
-        sides.append(side)
         edges += [(side[i - 1], side[i]) for i in range(1, size)]
         if size > 2:
             edges.append((side[0], side[-1]))
