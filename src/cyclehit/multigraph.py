@@ -361,7 +361,7 @@ def _may_face_component(G: Multigraph, v: int, mask: int, u: int) -> bool:
     and at least one edge not to u."""
     incident = G._incident[v]
     to_u = sum(1 << i for i, eid in enumerate(incident) if u in G.edges[eid])
-    side = mask if mask & to_u else (1 << len(incident)) - 1 ^ mask  # any u-v edge here
+    side = mask if mask & to_u else (1 << len(incident)) - 1 ^ mask  # gets the u-v edges
     return side & to_u == to_u != side
 
 
