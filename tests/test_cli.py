@@ -228,6 +228,17 @@ EXIT_CONTRACT = [
      None, 0, "gen petersen n=10 m=15 cycles=2\n", ""),
     ("gen", ("--family", "thm5", "--out", "out/p.mg", "--cycles", "out/p.cyc"),
      None, 2, "", "error: family thm5 needs --r\n"),
+    # Each family names its missing options in the same words.
+    pytest.param("gen", ("--family", "thm4", "--r", "5", "--out", "out/p.mg",
+                         "--cycles", "out/p.cyc"),
+                 None, 2, "", "error: family thm4 needs --r and --t\n", id="gen-2-thm4"),
+    pytest.param("gen", ("--family", "sec6-2k", "--out", "out/p.mg", "--cycles", "out/p.cyc"),
+                 None, 2, "", "error: family sec6-2k needs --k\n", id="gen-2-sec6-2k"),
+    pytest.param("gen", ("--family", "doubled", "--out", "out/p.mg", "--cycles", "out/p.cyc"),
+                 None, 2, "", "error: family doubled needs --base\n", id="gen-2-doubled"),
+    pytest.param("gen", ("--family", "random", "--r", "3", "--out", "out/p.mg",
+                         "--cycles", "out/p.cyc"),
+                 None, 2, "", "error: family random needs --n and --r\n", id="gen-2-random"),
     ("gen", ("--family", "random", "--n", "10", "--r", "4", "--out", "out/p.mg",
              "--cycles", "out/p.cyc"),
      "cyclehit.instances._find_cycle", 4, "", "Traceback"),

@@ -134,3 +134,29 @@ def test_builders_follow_their_inductive_rules():
     for L in range(4, 61, 2):
         T = build_even_leaf_tree(L)
         assert (T.tree.n, list(T.tree.edges)) == even_leaf_by_rule(L), L
+
+
+def bfs_slot_order(T):
+    """Leaves and sibling groups by the breadth-first rule: leaves in the
+    order a search from vertex 0 meets them (neighbours by id), groups in
+    the order it meets their internal neighbour, each group by id."""
+    tree = T.tree
+    order, seen = [0], {0}
+    for v in order:
+        for w in sorted(tree.other_end(e, v) for e in tree.incident(v)):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    leaves = [v for v in order if tree.degree(v) == 1]
+    groups = {}
+    for v in leaves:
+        groups.setdefault(tree.other_end(tree.incident(v)[0], v), []).append(v)
+    parents = sorted(groups, key=order.index)
+    return tuple(leaves), tuple(tuple(sorted(groups[p])) for p in parents)
+
+
+def test_slot_order_is_breadth_first():
+    for T in [build_gadget_tree(t) for t in range(1, 61)] + [
+        build_even_leaf_tree(L) for L in range(4, 121, 2)
+    ]:
+        assert (T.leaves, T.sibling_groups) == bfs_slot_order(T), T.tree.n
