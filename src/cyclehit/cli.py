@@ -14,11 +14,11 @@ import sys
 import traceback
 from typing import Optional
 
-from .cycles import CycleSet, parse_cycles, serialize_cycles
+from .cycles import CycleSet, parse_cycles
 from .factors import MODES, parse_factor, serialize_factor, verify_factor, verify_intersections
 from .families import FamilyInstance, gen_doubled, gen_sec6_2k, gen_thm4, gen_thm5, petersen, petersen_cycles
 from .instances import pack_cycles, random_regular_multigraph
-from .multigraph import FormatError, GraphError, Multigraph, parse_multigraph, serialize_multigraph, vertex_connectivity
+from .multigraph import FormatError, GraphError, Multigraph, parse_multigraph, vertex_connectivity
 from .orientation import parse_orientation, serialize_orientation, verify_orientation
 from .pipelines import extend_factor, half_pipeline, orient_even_indegree, third_pipeline
 from .solver import SAT, UNSAT, BudgetExceededError, SearchBudget, t_factor_oracle
@@ -32,7 +32,9 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 PIPELINES = ("third", "half", "third-arb", "half-arb")
-FAMILIES = ("thm4", "thm5", "sec6-2k", "doubled", "petersen", "random")
+# Each family, with the options it needs in the order its error names them.
+FAMILIES = {"thm4": ("r", "t"), "thm5": ("r",), "sec6-2k": ("k",),
+            "doubled": ("base",), "petersen": (), "random": ("n", "r")}
 
 
 def _read(path: str) -> str:
@@ -139,36 +141,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    needs = FAMILIES[args.family]
+    if any(getattr(args, name) is None for name in needs):
+        raise GraphError(f"family {args.family} needs " + " and ".join(f"--{name}" for name in needs))
     if args.family == "thm4":
-        if args.r is None or args.t is None:
-            raise GraphError("family thm4 needs --r and --t")
         inst = gen_thm4(args.r, args.t)
     elif args.family == "thm5":
-        if args.r is None:
-            raise GraphError("family thm5 needs --r")
         inst = gen_thm5(args.r)
     elif args.family == "sec6-2k":
-        if args.k is None:
-            raise GraphError("family sec6-2k needs --k")
         inst = gen_sec6_2k(args.k)
     elif args.family == "doubled":
-        if args.base is None:
-            raise GraphError("family doubled needs --base")
         inst = gen_doubled(_load_graph(args.base))
     elif args.family == "petersen":
         G = petersen()
         inst = FamilyInstance(G, petersen_cycles(G), {"name": "petersen"})
     else:  # random
-        if args.r is None or args.n is None:
-            raise GraphError("family random needs --n and --r")
         G = random_regular_multigraph(args.n, args.r, args.seed)
-        parity = None if args.parity == "any" else args.parity
-        O = pack_cycles(G, parity=parity)
-        header = f"family: name=random n={args.n} r={args.r} seed={args.seed}"
-        _write(args.out, serialize_multigraph(G, comments=[header]))
-        _write(args.cycles, serialize_cycles(O, comments=[header]))
-        print(f"gen random n={G.n} m={G.m} cycles={len(O)}")
-        return EXIT_OK
+        O = pack_cycles(G, parity=None if args.parity == "any" else args.parity)
+        inst = FamilyInstance(G, O, {"name": "random", "n": args.n, "r": args.r, "seed": args.seed})
     mg_text, cyc_text = inst.serialize()
     _write(args.out, mg_text)
     _write(args.cycles, cyc_text)

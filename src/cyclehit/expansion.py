@@ -54,7 +54,7 @@ def cubic_expansion(
     internal = tree.internal_vertices()
     local_rank = {v: i for i, v in enumerate(internal)}
     # Each sibling group of the tree is a bundle of attachment slots on one
-    # internal vertex; group order follows the tree's leaf order.
+    # internal vertex; groups come in id order of that vertex.
     group_vertex = [
         local_rank[tree.tree.other_end(tree.tree.incident(g[0])[0], g[0])]
         for g in tree.sibling_groups

@@ -27,15 +27,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FamilyInstance:
+    """A graph, its prescribed cycles and the builder's claims about them;
+    a claimed "regular" degree is checked on construction."""
+
     graph: Multigraph
     cycles: CycleSet
     meta: dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self):
+        regular = self.meta.get("regular")
+        if regular is not None and self.graph.is_regular() != regular:
+            raise AssertionError("family construction broke regularity")
+
     def serialize(self) -> tuple[str, str]:
-        """(.mg text, .cyc text) with a family comment header."""
-        header = "family: " + " ".join(
-            f"{k}={v}" for k, v in sorted(self.meta.items())
-        )
+        """(.mg text, .cyc text) with a family comment header that lists
+        meta's keys in the order the builder wrote them."""
+        header = "family: " + " ".join(f"{k}={v}" for k, v in self.meta.items())
         return (
             serialize_multigraph(self.graph, comments=[header]),
             serialize_cycles(self.cycles, comments=[header]),
@@ -137,20 +144,18 @@ def gen_thm4(r: int, t: int) -> FamilyInstance:
         n, edges, cycles = _build_block_graph(r - 1)
         n = _attach_paws(n, edges, range(n), wa=1, ab=(r - 1) // 2, bc=(r + 1) // 2)
     G = Multigraph(n, edges)
-    if G.is_regular() != r:
-        raise AssertionError("family construction broke regularity")
     return FamilyInstance(
         graph=G,
         cycles=CycleSet(G, cycles),
         meta={
-            "name": "thm4",
             "case": case,
-            "r": r,
-            "t": t,
-            "regular": r,
-            "unsat_t": t,
-            "mode": "hit",
             "has_t_factor": True,
+            "mode": "hit",
+            "name": "thm4",
+            "r": r,
+            "regular": r,
+            "t": t,
+            "unsat_t": t,
         },
     )
 
@@ -182,19 +187,17 @@ def gen_thm5(r: int) -> FamilyInstance:
         edges.append((a(2, j), a(0, j)))
         cycles.append((base, base + 1, base + 2))
     G = Multigraph(3 * block, edges)
-    if G.is_regular() != r:
-        raise AssertionError("family construction broke regularity")
     return FamilyInstance(
         graph=G,
         cycles=CycleSet(G, cycles),
         meta={
-            "name": "thm5",
-            "r": r,
-            "regular": r,
             "connectivity": r,
             "even_order": True,
             "min_sat_t": -(-r // 3),
             "mode": "hit",
+            "name": "thm5",
+            "r": r,
+            "regular": r,
         },
     )
 
@@ -221,17 +224,15 @@ def gen_sec6_2k(k: int) -> FamilyInstance:
     for j in range(k):
         _multi(edges, v(2 * j), v(2 * j + 1), 2 * k - 2)
     G = Multigraph(2 + 2 * k, edges)
-    if G.is_regular() != 2 * k:
-        raise AssertionError("family construction broke regularity")
     return FamilyInstance(
         graph=G,
         cycles=CycleSet(G, cycles),
         meta={
-            "name": "sec6-2k",
             "k": k,
-            "regular": 2 * k,
             "min_sat_t": k,
             "mode": "hit",
+            "name": "sec6-2k",
+            "regular": 2 * k,
         },
     )
 
@@ -253,11 +254,11 @@ def gen_doubled(G_base: Multigraph) -> FamilyInstance:
         graph=G,
         cycles=CycleSet(G, cycles),
         meta={
-            "name": "doubled",
-            "base_n": G_base.n,
             "base_m": m,
-            "regular": 2 * base_r if base_r is not None else None,
+            "base_n": G_base.n,
             "mode": "hit",
+            "name": "doubled",
+            "regular": 2 * base_r if base_r is not None else None,
         },
     )
 

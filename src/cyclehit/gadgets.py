@@ -27,9 +27,10 @@ __all__ = [
 class GadgetTree:
     """A tree with its leaves in slot order and grouped by internal neighbor.
 
-    leaves are ordered breadth-first from vertex 0 (ties by vertex id);
-    sibling_groups partitions them by their unique internal neighbor, groups
-    ordered by first appearance of that neighbor in the same BFS order.
+    leaves are in increasing id order; sibling_groups partitions them by
+    their unique internal neighbor, groups in increasing id order of that
+    neighbor.  For the trees built here, both are also the order in which
+    a breadth-first search from vertex 0 meets them.
     """
 
     tree: Multigraph
@@ -49,33 +50,13 @@ class GadgetTree:
         return tuple(v for v in range(self.tree.n) if v not in leaf)
 
 
-def _bfs_order(T: Multigraph) -> list[int]:
-    order = []
-    seen = [False] * T.n
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in sorted(T.other_end(e, v) for e in T.incident(v)):
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return order
-
-
 def _as_gadget_tree(n: int, edges: list[tuple[int, int]]) -> GadgetTree:
     T = Multigraph(n, edges)
-    leaf = [T.degree(v) == 1 for v in range(n)]
-    order = _bfs_order(T)
-    leaves = tuple(v for v in order if leaf[v])
+    leaves = tuple(v for v in range(n) if T.degree(v) == 1)
     groups: dict[int, list[int]] = {}
     for v in leaves:
-        p = T.other_end(T.incident(v)[0], v)
-        groups.setdefault(p, []).append(v)
-    rank = {v: i for i, v in enumerate(order)}
-    ordered_parents = sorted(groups, key=lambda p: rank[p])
-    sibling_groups = tuple(tuple(sorted(groups[p])) for p in ordered_parents)
+        groups.setdefault(T.other_end(T.incident(v)[0], v), []).append(v)
+    sibling_groups = tuple(tuple(groups[p]) for p in sorted(groups))
     return GadgetTree(T, leaves, sibling_groups)
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "serialize_multigraph",
     "vertex_connectivity",
     "is_k_connected",
-    "bridge_sides",
 ]
 
 # Seed of the random cycle-space edge labels.  The labels only choose what

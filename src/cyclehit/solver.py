@@ -388,9 +388,6 @@ class _DegreeSearch:
                     set_odd[p] ^= 1
         del trail[mark:]
 
-    def witness(self) -> tuple[int, ...]:
-        return tuple(e for e in range(self.m) if self.state[e] == _IN)
-
     def search(self, forced_in: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
         """The first solution in search order with every forced edge IN, or
         None once the space is exhausted: branch on the lowest undecided
@@ -439,7 +436,7 @@ class _DegreeSearch:
         while True:
             e = state.find(_UNDEC, e)
             if e < 0:
-                return self.witness()
+                return tuple(i for i in range(m) if state[i] == _IN)
             # Keys are only built on edges with one recorded; None is never
             # in the memo.
             entry = key(e) if recorded[e] else None

@@ -1,6 +1,7 @@
 import pytest
 
 from cyclehit import (
+    FamilyInstance,
     GraphError,
     Multigraph,
     SAT,
@@ -124,3 +125,10 @@ def test_petersen():
     assert [len(c) for c in O.cycles] == [5, 5]
     cycle_vertices(G, O.cycles[0])
     cycle_vertices(G, O.cycles[1])
+
+
+def test_family_instance_checks_a_claimed_regularity():
+    G = petersen()
+    assert FamilyInstance(G, petersen_cycles(G), {"regular": 3}).meta == {"regular": 3}
+    with pytest.raises(AssertionError, match="broke regularity"):
+        FamilyInstance(G, petersen_cycles(G), {"regular": 4})
