@@ -56,29 +56,31 @@ def cycle_vertices(host: Multigraph, cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 class CycleSet:
-    """An ordered collection of pairwise edge-disjoint cycles of one host."""
+    """An ordered collection of pairwise edge-disjoint cycles of one host.
+    walks[i] is cycle_vertices(host, cycles[i]), kept from the check."""
 
-    __slots__ = ("host", "cycles")
+    __slots__ = ("host", "cycles", "walks")
 
     def __init__(self, host: Multigraph, cycles: Iterable[Sequence[int]]):
         # Each cycle is checked before the next is taken, so a GraphError
         # concerns the cycle the iterable produced last (parse_cycles relies
         # on this to name its line).
-        checked = []
+        checked, walks = [], []
         seen: set[int] = set()
         m = host.m
         for c in cycles:
-            c = tuple(int(e) for e in c)
+            c = tuple(map(int, c))
             for e in c:
                 if not (0 <= e < m):
                     raise GraphError(f"edge id {e} out of range")
                 if e in seen:
                     raise GraphError(f"cycles are not edge-disjoint at edge {e}")
                 seen.add(e)
-            cycle_vertices(host, c)
+            walks.append(cycle_vertices(host, c))
             checked.append(c)
         self.host = host
         self.cycles = tuple(checked)
+        self.walks = tuple(walks)
 
     def __len__(self) -> int:
         return len(self.cycles)

@@ -10,8 +10,9 @@ graph are its edge ids below the original edge count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .cycles import CycleSet, cycle_vertices
+from .cycles import CycleSet
 from .factors import Factor
 from .gadgets import GadgetTree
 from .multigraph import GraphError, Multigraph
@@ -69,13 +70,14 @@ def cubic_expansion(
 
     # Each cycle pair at a vertex takes two slots of one group, lowest group
     # first; the other edges fill the slots left, in group order.
-    # single_slots[p] lists the group of each slot left once p pairs are in.
+    # single_slots[p] lists the internal vertex of each slot left once p
+    # pairs are in.
     pair_groups = [g for g, c in enumerate(group_capacity) for _ in range(c // 2)]
     free = list(group_capacity)
-    single_slots = [[g for g, c in enumerate(free) for _ in range(c)]]
+    single_slots = [[group_vertex[g] for g, c in enumerate(free) for _ in range(c)]]
     for g in pair_groups:
         free[g] -= 2
-        single_slots.append([g for g, c in enumerate(free) for _ in range(c)])
+        single_slots.append([group_vertex[g] for g, c in enumerate(free) for _ in range(c)])
     # end[2e + i]: the expanded vertex replacing endpoint i of edge e, where
     # i = 0 stands for G.edges[e][0]; -1 while unset.  A cycle visits a
     # vertex at most once, so each vertex takes its pairs in cycle index
@@ -83,22 +85,30 @@ def cubic_expansion(
     edges = G.edges
     end = [-1] * (2 * G.m)
     npairs = [0] * G.n
-    for cyc in O.cycles:
-        for v, e, f in zip(cycle_vertices(G, cyc), cyc[-1:] + cyc[:-1], cyc):
+    for cyc, walk in zip(O.cycles, O.walks):
+        for v, e, f in zip(walk, cyc[-1:] + cyc[:-1], cyc):
             p = npairs[v]
             npairs[v] = p + 1
             if p < len(pair_groups):
                 x = v * block + group_vertex[pair_groups[p]]
                 end[2 * e + (edges[e][0] != v)] = end[2 * f + (edges[f][0] != v)] = x
-    for v, p in enumerate(npairs):
-        if p > len(pair_groups):
-            raise AssertionError(
-                f"vertex {v} carries {p} cycle pairs but the gadget "
-                f"tree offers only groups of sizes {group_capacity}"
-            )
-        at_v = [2 * e + (edges[e][0] != v) for e in G.incident(v)]
-        for i, g in zip([i for i in at_v if end[i] < 0], single_slots[p], strict=True):
-            end[i] = v * block + group_vertex[g]
+    if max(npairs, default=0) > len(pair_groups):
+        v, p = next((v, p) for v, p in enumerate(npairs) if p > len(pair_groups))
+        raise AssertionError(
+            f"vertex {v} carries {p} cycle pairs but the gadget "
+            f"tree offers only groups of sizes {group_capacity}"
+        )
+    # Every other end takes the next slot left at its vertex.  The ends are
+    # met in edge-id order, which is each vertex's incidence order; a vertex
+    # left with slots to spare makes the expansion non-cubic.
+    slots = [iter(single_slots[p]) for p in npairs]
+    try:
+        end = [
+            x if x >= 0 else v * block + next(slots[v])
+            for v, x in zip(chain.from_iterable(edges), end)
+        ]
+    except StopIteration:
+        raise AssertionError("a vertex has more loose edge ends than slots") from None
 
     new_edges = list(zip(end[0::2], end[1::2]))
     new_edges += [
@@ -133,10 +143,10 @@ def split_factor(G: Multigraph, D: Orientation, O: CycleSet, t: int) -> Factor:
 
     # partner[(e, v)]: the edge that shares e's split vertex at endpoint v.
     partner: dict[tuple[int, int], int] = {}
-    for cyc in O.cycles:
+    for cyc, walk in zip(O.cycles, O.walks):
         if _cycle_is_oriented(D, cyc):
             raise GraphError("a prescribed cycle is an oriented cycle")
-        for v, e, f in zip(cycle_vertices(G, cyc), cyc[-1:] + cyc[:-1], cyc):
+        for v, e, f in zip(walk, cyc[-1:] + cyc[:-1], cyc):
             if (D.head[e] == v) == (D.head[f] == v):
                 partner[(e, v)] = f
                 partner[(f, v)] = e

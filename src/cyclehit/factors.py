@@ -38,7 +38,7 @@ class Factor:
     def __post_init__(self):
         if self.t < 0:
             raise GraphError("target degree must be non-negative")
-        ids = tuple(sorted(set(int(e) for e in self.edge_ids)))
+        ids = tuple(sorted(set(map(int, self.edge_ids))))
         if len(ids) != len(self.edge_ids):
             raise GraphError("factor edge ids must be distinct")
         m = self.host.m
@@ -56,9 +56,9 @@ class Factor:
 
 def verify_factor(G: Multigraph, F: Union[Factor, Iterable[int]], t: int) -> bool:
     """True iff every vertex of G is incident with exactly t edges of F."""
-    deg = [0] * G.n
+    deg, edges = [0] * G.n, G.edges
     for e in F.edge_ids if isinstance(F, Factor) else F:
-        u, v = G.endpoints(e)
+        u, v = edges[e]
         deg[u] += 1
         deg[v] += 1
     return deg.count(t) == G.n

@@ -130,19 +130,18 @@ class Multigraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        edges = tuple([(int(u), int(v)) for u, v in edges])
+        incident = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {eid}: endpoint out of range")
             if u == v:
                 raise GraphError(f"edge {eid}: loops are forbidden")
-        self.n = n
-        self.edges = edges
-        incident = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(edges):
             incident[u].append(eid)
             incident[v].append(eid)
-        self._incident = tuple(tuple(ids) for ids in incident)
+        self.n = n
+        self.edges = edges
+        self._incident = tuple(map(tuple, incident))
 
     @property
     def m(self) -> int:
@@ -166,7 +165,7 @@ class Multigraph:
         return len(self._incident[v])
 
     def degrees(self) -> list[int]:
-        return [len(ids) for ids in self._incident]
+        return list(map(len, self._incident))
 
     def is_regular(self) -> Optional[int]:
         """Common degree of all vertices, or None if degrees differ."""
@@ -174,7 +173,7 @@ class Multigraph:
             return None
         degs = self.degrees()
         r = degs[0]
-        return r if all(d == r for d in degs) else None
+        return r if degs.count(r) == self.n else None
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(_dfs(self, (0,), [-1] * self.n)[0]) == self.n

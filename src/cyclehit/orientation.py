@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .cycles import CycleSet, cycle_vertices
+from .cycles import CycleSet
 from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
 
 __all__ = [
@@ -60,8 +60,7 @@ def balanced_orientation(G: Multigraph, O: Optional[CycleSet] = None) -> Orienta
         if G.degree(v) % 2 == 1:
             raise GraphError(f"odd degree at vertex {v}")
     head = [-1] * G.m
-    for cyc in O or ():
-        walk = cycle_vertices(G, cyc)
+    for cyc, walk in zip(O.cycles, O.walks) if O is not None else ():
         for i, e in enumerate(cyc):
             head[e] = walk[(i + 1) % len(cyc)]
     ptr = [0] * G.n

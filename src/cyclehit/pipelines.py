@@ -112,7 +112,9 @@ def third_pipeline(
         _require(0 <= e < G.m, f"edge id {e} out of range")
     _check_common(G, O, 3 * t, checked, arbitrary)
     xmap, induced = cubic_expansion(G, O, build_gadget_tree(t))
-    verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget, forced_edge=e)
+    verdict = t_factor_oracle(
+        xmap.expanded, 1, induced, "hit", budget, forced_edge=e, bridge_parity=False
+    )
     F = Factor(G, t, _unwrap(verdict, "expanded matching instance", G.m))
     checks = {
         "t_factor": verify_factor(G, F, t),
@@ -158,7 +160,7 @@ def _orient(
     _check_common(G, O, 2 * t, checked, arbitrary)
     D = balanced_orientation(G, O)
     xmap, induced = cubic_expansion(G, O, build_even_leaf_tree(2 * t))
-    verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget)
+    verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget, bridge_parity=False)
     flipped = D.flipped(_unwrap(verdict, "orientation matching instance", G.m))
     if not verify_orientation(G, flipped, O):
         raise AssertionError("orientation postcondition failed")

@@ -135,8 +135,10 @@ class _DegreeSearch:
       the IN edges of each class come first in edge-id order;
     - cut parity (Tutte, Canad. J. Math. 1952): |F & cut(S)| = t|S| (mod 2)
       for every vertex set S.  The sets are each vertex pair joined by two or
-      more parallel edges, and one side of each bridge of the simple graph
-      underneath.
+      more parallel edges, and, if bridge_parity, one side of each bridge of
+      the simple graph underneath.  The pipelines turn bridge parity off:
+      the expansion of a 2-connected graph has no bridge, so its bridge
+      search would find nothing.
 
     The first solution in search order (lexicographic over edge ids, IN
     before OUT), which search() returns unless its LP stage decides first,
@@ -177,6 +179,7 @@ class _DegreeSearch:
         cycles: tuple[tuple[int, ...], ...],
         mode: str,
         clock: _Clock,
+        bridge_parity: bool = True,
     ):
         if mode == "none":
             cycles = ()  # no cycle constrains anything
@@ -187,6 +190,7 @@ class _DegreeSearch:
         self.matching = mode == "hit-matching"
         self.cohit = mode == "hit-and-cohit"
         self.clock = clock
+        self.bridge_parity = bridge_parity
         self.state = bytearray(self.m)
         # A bytearray goes into a memo key in one copy.  It holds 255 at
         # most, and assign() takes a degree to t + 1 at most.
@@ -216,9 +220,11 @@ class _DegreeSearch:
         self.roots: list[tuple[int, int]] = []  # decisions of one-edge cuts
 
     def _build_pruning(self, forced: tuple[int, ...]):
-        """Fill in both rules on an all-undecided state.  Forced edges stay
-        out of the classes: a forced copy cannot trade places with its
-        siblings, so "IN edges first" would wrongly pull the earlier ones in."""
+        """Fill in both rules on an all-undecided state, with the bridge
+        sides among the parity sets only if self.bridge_parity.  Forced
+        edges stay out of the classes: a forced copy cannot trade places
+        with its siblings, so "IN edges first" would wrongly pull the
+        earlier ones in."""
         G, m = self.G, self.m
         sets: list[tuple[tuple[int, ...], int]] = []
         ends = [(u, v) if u < v else (v, u) for u, v in G.edges]
@@ -240,7 +246,7 @@ class _DegreeSearch:
                 cut = tuple(f for f in G._incident[u] + G._incident[v] if f not in inner)
                 if cut:
                     sets.append((cut, 0))
-        for p, v, size in bridge_sides(G):
+        for p, v, size in bridge_sides(G) if self.bridge_parity else ():
             cut = tuple(f for f in G._incident[v] if p in G.edges[f])
             sets.append((cut, self.t * size % 2))
         if not sets:
@@ -479,6 +485,8 @@ def t_factor_oracle(
     mode: str = "none",
     budget: Optional[SearchBudget] = None,
     forced_edge: Optional[int] = None,
+    *,
+    bridge_parity: bool = True,
 ) -> OracleVerdict:
     """Exact backtracking oracle for t-factors meeting a cycle set, through
     forced_edge if it is given.
@@ -490,6 +498,12 @@ def t_factor_oracle(
     search ends within _LP_NODE nodes (64); past that node, in modes none
     and hit, it may be an integral point of the LP relaxation instead, when
     that LP is within its size cap.
+
+    bridge_parity=False drops the bridges of G from the cut-parity rule
+    (see _DegreeSearch).  On a bridgeless G that changes nothing but the
+    time of the bridge search; elsewhere the verdict stays, and the search
+    may take more nodes.  The pipelines pass False: their expansions of
+    2-connected graphs have no bridge.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -500,7 +514,8 @@ def t_factor_oracle(
     if O is not None and O.host != G:
         raise GraphError("cycle set does not belong to this graph")
     clock = _Clock(budget)
-    engine = _DegreeSearch(G, t, tuple(O.cycles) if O is not None else (), mode, clock)
+    cycles = tuple(O.cycles) if O is not None else ()
+    engine = _DegreeSearch(G, t, cycles, mode, clock, bridge_parity)
     forced = () if forced_edge is None else (forced_edge,)
     if forced and not 0 <= forced_edge < G.m:
         raise GraphError(f"edge id {forced_edge} out of range")
