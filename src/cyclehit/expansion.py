@@ -70,14 +70,17 @@ def cubic_expansion(
 
     # Each cycle pair at a vertex takes two slots of one group, lowest group
     # first; the other edges fill the slots left, in group order.
-    # single_slots[p] lists the internal vertex of each slot left once p
-    # pairs are in.
+    # single_slots[p]: the internal vertex of each slot left once p pairs are in.
     pair_groups = [g for g, c in enumerate(group_capacity) for _ in range(c // 2)]
     free = list(group_capacity)
     single_slots = [[group_vertex[g] for g, c in enumerate(free) for _ in range(c)]]
     for g in pair_groups:
         free[g] -= 2
         single_slots.append([group_vertex[g] for g, c in enumerate(free) for _ in range(c)])
+    # G is regular, so a vertex with p pairs has a loose end per slot left.
+    for p, left in enumerate(single_slots):
+        if len(left) != required - 2 * p:
+            raise AssertionError(f"{len(left)} slots left for {required - 2 * p} edge ends")
     # end[2e + i]: the expanded vertex replacing endpoint i of edge e, where
     # i = 0 stands for G.edges[e][0]; -1 while unset.  A cycle visits a
     # vertex at most once, so each vertex takes its pairs in cycle index
@@ -92,23 +95,19 @@ def cubic_expansion(
             if p < len(pair_groups):
                 x = v * block + group_vertex[pair_groups[p]]
                 end[2 * e + (edges[e][0] != v)] = end[2 * f + (edges[f][0] != v)] = x
-    if max(npairs, default=0) > len(pair_groups):
-        v, p = next((v, p) for v, p in enumerate(npairs) if p > len(pair_groups))
-        raise AssertionError(
-            f"vertex {v} carries {p} cycle pairs but the gadget "
-            f"tree offers only groups of sizes {group_capacity}"
-        )
-    # Every other end takes the next slot left at its vertex.  The ends are
-    # met in edge-id order, which is each vertex's incidence order; a vertex
-    # left with slots to spare makes the expansion non-cubic.
+    for v, p in enumerate(npairs):
+        if p > len(pair_groups):
+            raise AssertionError(
+                f"vertex {v} carries {p} cycle pairs but the gadget "
+                f"tree offers only groups of sizes {group_capacity}"
+            )
+    # Every other end takes the next slot left at its vertex, in edge-id
+    # order, which is each vertex's incidence order.
     slots = [iter(single_slots[p]) for p in npairs]
-    try:
-        end = [
-            x if x >= 0 else v * block + next(slots[v])
-            for v, x in zip(chain.from_iterable(edges), end)
-        ]
-    except StopIteration:
-        raise AssertionError("a vertex has more loose edge ends than slots") from None
+    end = [
+        x if x >= 0 else v * block + next(slots[v])
+        for v, x in zip(chain.from_iterable(edges), end)
+    ]
 
     new_edges = list(zip(end[0::2], end[1::2]))
     new_edges += [

@@ -112,9 +112,7 @@ def third_pipeline(
         _require(0 <= e < G.m, f"edge id {e} out of range")
     _check_common(G, O, 3 * t, checked, arbitrary)
     xmap, induced = cubic_expansion(G, O, build_gadget_tree(t))
-    verdict = t_factor_oracle(
-        xmap.expanded, 1, induced, "hit", budget, forced_edge=e, bridge_parity=False
-    )
+    verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget, e, bridge_parity=False)
     F = Factor(G, t, _unwrap(verdict, "expanded matching instance", G.m))
     checks = {
         "t_factor": verify_factor(G, F, t),

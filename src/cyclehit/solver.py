@@ -135,10 +135,9 @@ class _DegreeSearch:
       the IN edges of each class come first in edge-id order;
     - cut parity (Tutte, Canad. J. Math. 1952): |F & cut(S)| = t|S| (mod 2)
       for every vertex set S.  The sets are each vertex pair joined by two or
-      more parallel edges, and, if bridge_parity, one side of each bridge of
-      the simple graph underneath.  The pipelines turn bridge parity off:
-      the expansion of a 2-connected graph has no bridge, so its bridge
-      search would find nothing.
+      more parallel edges, and one side of each bridge of the simple graph
+      underneath, unless bridge_parity is off (the pipelines turn it off:
+      their expansions of 2-connected graphs have no bridge).
 
     The first solution in search order (lexicographic over edge ids, IN
     before OUT), which search() returns unless its LP stage decides first,
@@ -220,11 +219,9 @@ class _DegreeSearch:
         self.roots: list[tuple[int, int]] = []  # decisions of one-edge cuts
 
     def _build_pruning(self, forced: tuple[int, ...]):
-        """Fill in both rules on an all-undecided state, with the bridge
-        sides among the parity sets only if self.bridge_parity.  Forced
-        edges stay out of the classes: a forced copy cannot trade places
-        with its siblings, so "IN edges first" would wrongly pull the
-        earlier ones in."""
+        """Fill in both rules on an all-undecided state.  Forced edges stay
+        out of the classes: a forced copy cannot trade places with its
+        siblings, so "IN edges first" would wrongly pull the earlier ones in."""
         G, m = self.G, self.m
         sets: list[tuple[tuple[int, ...], int]] = []
         ends = [(u, v) if u < v else (v, u) for u, v in G.edges]
@@ -499,11 +496,9 @@ def t_factor_oracle(
     and hit, it may be an integral point of the LP relaxation instead, when
     that LP is within its size cap.
 
-    bridge_parity=False drops the bridges of G from the cut-parity rule
-    (see _DegreeSearch).  On a bridgeless G that changes nothing but the
-    time of the bridge search; elsewhere the verdict stays, and the search
-    may take more nodes.  The pipelines pass False: their expansions of
-    2-connected graphs have no bridge.
+    bridge_parity=False leaves G's bridges out of the cut-parity rule (see
+    _DegreeSearch): the same verdict, perhaps in more nodes, and on a
+    bridgeless G the same search without the bridge search.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -514,8 +509,7 @@ def t_factor_oracle(
     if O is not None and O.host != G:
         raise GraphError("cycle set does not belong to this graph")
     clock = _Clock(budget)
-    cycles = tuple(O.cycles) if O is not None else ()
-    engine = _DegreeSearch(G, t, cycles, mode, clock, bridge_parity)
+    engine = _DegreeSearch(G, t, tuple(O or ()), mode, clock, bridge_parity)
     forced = () if forced_edge is None else (forced_edge,)
     if forced and not 0 <= forced_edge < G.m:
         raise GraphError(f"edge id {forced_edge} out of range")

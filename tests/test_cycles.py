@@ -82,8 +82,10 @@ def test_cycle_vertices_rejects_non_cycles():
 
 def test_cycle_set_edge_disjointness():
     G = doubled_triangle()
-    CycleSet(G, [(0, 1, 2), (3, 4, 5)])  # the two copies of the triangle
-    CycleSet(G, [(0, 3), (1, 4), (2, 5)])  # the three 2-cycles
+    # the two copies of the triangle, and the three 2-cycles
+    for cycles in ([(0, 1, 2), (5, 4, 3)], [(0, 3), (4, 1), (2, 5)]):
+        O = CycleSet(G, cycles)
+        assert O.walks == tuple(cycle_vertices(G, c) for c in cycles)  # kept, not redone
     with pytest.raises(GraphError):
         CycleSet(G, [(0, 1, 2), (0, 3)])  # share edge 0
 

@@ -21,6 +21,8 @@ from cyclehit import (
     verify_factor,
     verify_intersections,
 )
+from cyclehit.gadgets import GadgetTree
+from cyclehit.multigraph import bridge_sides
 from conftest import doubled_triangle, k4, reference_cubic_expansion, reference_split_factor
 
 
@@ -82,6 +84,36 @@ def test_cubic_expansion_matches_its_first_form(tree, n, seed, parity):
     assert xmap == ref_map
     assert induced.host == ref_induced.host
     assert induced.cycles == ref_induced.cycles == O.cycles
+
+
+@pytest.mark.parametrize("tree", sorted(TREES))
+def test_expansions_of_2_connected_graphs_are_bridgeless(tree):
+    """The premise of the pipelines' bridge_parity=False: the expansion of
+    a 2-connected graph has no bridge, even counting parallel edges once.
+    A bridge inside a gadget would leave G - v disconnected, and one on the
+    edges of a pair u, v would make u or v a cut vertex."""
+    L, T = TREES[tree]
+    for n in range(3, 15):
+        if n * L % 2:
+            continue
+        for seed in range(5):
+            G = random_regular_multigraph(n, L, seed)
+            for parity in ("odd", None):
+                xmap, _ = cubic_expansion(G, pack_cycles(G, parity=parity), T)
+                assert bridge_sides(xmap.expanded) == [], (n, seed, parity)
+
+
+@pytest.mark.parametrize("groups", [((1, 2),), ((1, 2, 3, 1),)], ids=["fewer", "more"])
+def test_cubic_expansion_refuses_slots_unlike_the_edge_ends(groups):
+    """A tree whose sibling groups do not partition its leaves (built here
+    past GadgetTree's own check) offers a vertex more or fewer slots than
+    it has loose edge ends: an internal error, not a wrong expansion."""
+    claw = build_gadget_tree(1)
+    bad = object.__new__(GadgetTree)
+    for name, value in (("tree", claw.tree), ("leaves", claw.leaves), ("sibling_groups", groups)):
+        object.__setattr__(bad, name, value)
+    with pytest.raises(AssertionError, match="slots left for 3 edge ends"):
+        cubic_expansion(k4(), CycleSet(k4(), []), bad)
 
 
 def test_cubic_expansion_rejects_wrong_regularity():

@@ -35,6 +35,13 @@ def test_loops_and_range_rejected():
         Multigraph(2, [(0, 0)])
     with pytest.raises(GraphError):
         Multigraph(2, [(0, 2)])
+    # The first bad edge is named, whatever comes after it.
+    with pytest.raises(GraphError, match="^edge 1: loops are forbidden$"):
+        Multigraph(3, [(0, 1), (1, 1), (0, 5)])
+    with pytest.raises(GraphError, match="^edge 0: endpoint out of range$"):
+        Multigraph(3, [(0, 5), (1, 1)])
+    with pytest.raises(GraphError, match="^edge 0: endpoint out of range$"):
+        Multigraph(3, [(4, 4)])
 
 
 def test_components_and_connectivity():

@@ -27,7 +27,7 @@ from cyclehit import (
     verify_orientation,
     vertex_connectivity,
 )
-from cyclehit import factors
+from cyclehit import factors, solver
 from conftest import circulant, doubled_triangle, k4
 
 
@@ -209,6 +209,22 @@ def test_checked_pipelines_never_compute_exact_connectivity(monkeypatch):
     O3 = pack_cycles(G3, parity=None)
     rep = third_pipeline(G3, O3, None, 1, arbitrary=True)
     assert verify_intersections(rep.factor, O3, "hit-matching")
+
+
+def test_pipeline_searches_skip_the_bridge_search():
+    """The third, half, third-arb and half-arb searches run on bridgeless
+    expansions, so they never list bridges; the oracle still does."""
+    G4 = random_regular_multigraph(10, 4, seed=2)
+    G3 = random_regular_multigraph(12, 3, seed=5, min_connectivity=3)
+    C4 = circulant(8, (1, 2))
+    with mock.patch.object(solver, "bridge_sides", wraps=solver.bridge_sides) as spy:
+        third_pipeline(petersen(), petersen_cycles(petersen()), 0, 1)
+        half_pipeline(G4, pack_cycles(G4, parity="odd"), 2)
+        third_pipeline(G3, pack_cycles(G3, parity=None), None, 1, arbitrary=True)
+        half_pipeline(C4, pack_cycles(C4, parity="even"), 2, arbitrary=True)
+        assert spy.call_count == 0
+        t_factor_oracle(petersen(), 1)
+        assert spy.call_count == 1
 
 
 # (pipeline, r, t, l, parity, min_connectivity, vertex counts): a third or
