@@ -45,6 +45,8 @@ def cubic_expansion(
     edges of a cycle take one sibling group at their shared vertex, in
     cycle order, and every other end takes a slot left at its vertex.
     Returns the expansion map and the induced cycle set (same edge ids).
+    For the claw (t = 1) both are the input itself: G and O are returned,
+    with no graph or cycle set built.
     """
     required = len(tree.leaves)
     if G.is_regular() != required:
@@ -81,6 +83,10 @@ def cubic_expansion(
     for p, left in enumerate(single_slots):
         if len(left) != required - 2 * p:
             raise AssertionError(f"{len(left)} slots left for {required - 2 * p} edge ends")
+    if block == 1 and required == 3:
+        # The claw: every edge end stays at its own vertex, and no cubic
+        # vertex carries two edge-disjoint cycles, so the expansion is G.
+        return ExpansionMap(G), O
     # end[2e + i]: the expanded vertex replacing endpoint i of edge e, where
     # i = 0 stands for G.edges[e][0]; -1 while unset.  A cycle visits a
     # vertex at most once, so each vertex takes its pairs in cycle index

@@ -8,6 +8,7 @@ Parallel edges are allowed, loops are not.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import chain, combinations, islice
 from typing import Iterable, Optional
 
@@ -371,17 +372,21 @@ def _is_3_connected(G: Multigraph) -> bool:
     If G - {a, b} has a component C, the edges from C to a and from C to b
     together form the cut around C, so their label XORs are equal.  The
     edges at a vertex form the cut around it and XOR to exactly 0, so a set
-    of them and its complement XOR alike: each vertex of degree at most
-    _SCREEN_MAX_DEGREE files, per split of its edges in two, the XOR of the
-    side without its first edge.  a and b can be a 2-vertex cut only if they
-    file the same value for splits that pass _may_face_component.  Each edge
-    e = uv is filed at u and at v by the split e | all but e, and that pair
-    never passes: at u only the side without e can face a component, which
-    leaves e, an edge to v, alone on the other.  So a value filed by just
-    these two is not tested.  Every other candidate a, and every vertex of
-    higher degree, has G - a checked exactly, so the answer never depends on
-    the labels.  On bounded degree this is O(n + m) unless labels collide or
-    a 2-vertex cut is found.
+    of them and its complement XOR alike, and a split of a vertex's edges
+    into one edge e and the rest XORs to e's own label.  a and b can be a
+    2-vertex cut only if their splits toward C XOR alike and pass
+    _may_face_component.  Each vertex of degree 4 to _SCREEN_MAX_DEGREE
+    files the XOR of each split with at least two edges on either side;
+    vertices of degree at most 3 have no such split and file nothing.  The
+    one-edge splits are read off the labels: label[e] stands for e's split
+    at both its ends, and that pair never passes, because at either end only
+    the side without e can face a component, which leaves e, an edge to the
+    other end, alone on the other.  So a value is tested only if two edges
+    share it as a label, or a vertex files it; its group then also holds the
+    one-edge splits at both ends of each edge labelled with it.  Every other
+    candidate a, and every vertex of higher degree, has G - a checked
+    exactly, so the answer never depends on the labels.  On bounded degree
+    this is O(n + m) unless labels collide or a 2-vertex cut is found.
     """
     tree = _biconnected_tree(G)
     if tree is None:
@@ -395,26 +400,33 @@ def _is_3_connected(G: Multigraph) -> bool:
         cleared.add(v)
         return True
 
-    # XOR -> [(v, mask, the edge e if mask is {e} or all but e, else -1)]
-    filed: dict[int, list[tuple[int, int, int]]] = {}
+    # XOR -> [(v, mask)] for the splits with two or more edges on each side
+    filed: dict[int, list[tuple[int, int]]] = {}
     for v in range(G.n):
         incident = G._incident[v]
         if len(incident) > _SCREEN_MAX_DEGREE:
             if not clear(v):
                 return False
             continue
+        if len(incident) <= 3:
+            continue
         full = (1 << len(incident)) - 1
         xor = [0] * full
-        for mask in range(2, full, 2):  # the subsets without v's first edge
+        # The subsets without v's first edge, short of all the others.
+        for mask in range(2, full - 1, 2):
             lowest = mask & -mask
-            eid = incident[lowest.bit_length() - 1]
-            x = xor[mask] = xor[mask ^ lowest] ^ label[eid]
-            lone = eid if mask == lowest else incident[0] if mask == full - 1 else -1
-            filed.setdefault(x, []).append((v, mask, lone))
+            x = xor[mask] = xor[mask ^ lowest] ^ label[incident[lowest.bit_length() - 1]]
+            if mask != lowest:
+                filed.setdefault(x, []).append((v, mask))
+    if filed or len(set(label)) < G.m:
+        shared = {x for x, count in Counter(label).items() if count > 1}
+        for eid, x in enumerate(label):
+            if x in filed or x in shared:
+                filed.setdefault(x, []).extend(
+                    (w, 1 << G._incident[w].index(eid)) for w in G.edges[eid]
+                )
     for entries in filed.values():
-        if len(entries) == 2 and entries[0][2] == entries[1][2] >= 0:
-            continue  # one edge, filed at its two ends
-        for (a, a_mask, _), (b, b_mask, _) in combinations(entries, 2):
+        for (a, a_mask), (b, b_mask) in combinations(entries, 2):
             if (
                 a != b
                 and a not in cleared
@@ -433,8 +445,9 @@ def is_k_connected(G: Multigraph, k: int) -> bool:
     k <= 1 is a connectivity test and k = 2 one low-point search.  k = 3
     requires n >= 4, G 2-connected and G - v 2-connected for every vertex v;
     edge labels (see _is_3_connected) skip the vertices that cannot be in a
-    2-vertex cut: O(n (n + m)) at worst, and one search and 3 label XORs per
-    vertex on a 3-connected cubic graph.  Larger k uses vertex_connectivity.
+    2-vertex cut: O(n (n + m)) at worst, and on a cubic graph whose labels
+    are all distinct, one search and the labels, with no split filed and no
+    pair tested.  Larger k uses vertex_connectivity.
     """
     if k <= 0:
         return True

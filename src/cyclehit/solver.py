@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -226,15 +226,15 @@ class _DegreeSearch:
         sets: list[tuple[tuple[int, ...], int]] = []
         ends = [(u, v) if u < v else (v, u) for u, v in G.edges]
         if len(set(ends)) < m:  # some endpoint pair repeats
-            pairs: dict[tuple[int, int], list[int]] = defaultdict(list)
-            for e, pair in enumerate(ends):
-                pairs[pair].append(e)
             free = [c < 0 for c in self.edge_cycle]
             for e in forced:
                 free[e] = False
-            for (u, v), ids in pairs.items():
-                if len(ids) < 2:
+            # Repeated pairs in order of first appearance, their edges in id
+            # order, which is the order of u's incidence list.
+            for (u, v), count in Counter(ends).items():
+                if count < 2:
                     continue
+                ids = [e for e in G._incident[u] if v in G.edges[e]]
                 siblings = [e for e in ids if free[e]]
                 for a, b in zip(siblings, siblings[1:]):
                     self.next_sib[a] = b

@@ -37,6 +37,20 @@ def test_cubic_expansion_third_on_cubic_graph():
     assert induced.cycles == O.cycles
 
 
+@pytest.mark.parametrize("parity", ["odd", None], ids=["odd", "any"])
+def test_claw_expansion_is_the_graph_itself(parity):
+    """With one internal vertex every edge end stays at its own vertex, so
+    the claw expansion returns G and O themselves; the claw-t1 cases of
+    test_cubic_expansion_matches_its_first_form check that they equal the
+    expansion built slot by slot."""
+    claw = build_gadget_tree(1)
+    for seed in range(30):
+        G = random_regular_multigraph(4 + 2 * (seed % 8), 3, seed, min_connectivity=0)
+        O = pack_cycles(G, parity=parity)
+        xmap, induced = cubic_expansion(G, O, claw)
+        assert xmap.expanded is G and induced is O
+
+
 def test_cubic_expansion_half_doubled_triangle():
     G = doubled_triangle()
     O = CycleSet(G, [(0, 1, 2)])

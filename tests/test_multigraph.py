@@ -176,6 +176,54 @@ def test_3_connectivity_matches_brute_force_on_planted_2_vertex_cuts(joins):
     assert reached_the_screen >= 50
 
 
+def _cubic_2_edge_cut(rng: random.Random) -> tuple[Multigraph, tuple[int, int]]:
+    """Two random cubic sides, each with its first edge x-y taken out,
+    joined x to x and y to y: a cubic graph with a 2-edge cut.  Vertex and
+    edge ids shuffled; returns the graph and the ids of the cut's edges."""
+    edges, ends, n = [], [], 0
+    for _ in range(2):
+        k = rng.choice((4, 6, 8, 10))
+        side = random_regular_multigraph(k, 3, rng.randrange(2**31), min_connectivity=2)
+        (x, y), *rest = side.edges
+        edges += [(n + u, n + v) for u, v in rest]
+        ends.append((n + x, n + y))
+        n += k
+    (x, y), (p, q) = ends
+    edges += [(x, p), (y, q)]
+    rename = rng.sample(range(n), n)
+    order = rng.sample(range(len(edges)), len(edges))
+    G = Multigraph(n, [(rename[u], rename[v]) for u, v in (edges[i] for i in order)])
+    return G, (order.index(len(edges) - 2), order.index(len(edges) - 1))
+
+
+def test_3_connectivity_matches_brute_force_on_cubic_2_edge_cuts(monkeypatch):
+    """The two edges of a 2-edge cut share a label, though no degree-3
+    vertex files anything: the screen must test that value, and its answer
+    must come from an exact G - v search."""
+    exact = []
+
+    def spy(G, removed=-1, _fn=multigraph._biconnected_tree):
+        tree = _fn(G, removed)
+        if removed >= 0:
+            exact.append(tree is None)
+        return tree
+
+    monkeypatch.setattr(multigraph, "_biconnected_tree", spy)
+    rng = random.Random(23)
+    reached_the_screen = 0
+    for _ in range(100):
+        G, (e, f) = _cubic_2_edge_cut(rng)
+        _assert_screen_matches_brute_force(G)
+        if is_k_connected(G, 2):
+            reached_the_screen += 1
+            label = _cut_labels(G, *_dfs(G, (0,), [-1] * G.n)[:2])
+            assert label[e] == label[f]
+            exact.clear()
+            assert not is_k_connected(G, 3)
+            assert exact and exact[-1], G.edges  # the last G - v search failed
+    assert reached_the_screen >= 50
+
+
 @pytest.mark.parametrize("G", [petersen(), *(prism(k) for k in range(3, 9))],
                          ids=["petersen", *(f"prism{k}" for k in range(3, 9))])
 def test_3_connected_cubic_graphs_need_no_pair_test(monkeypatch, G):
