@@ -70,16 +70,18 @@ def _budget(args) -> Optional[SearchBudget]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: a build takes over ten times as
-    long as a parse, and parse_args leaves the parser unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, built once per
+    process: a build takes over ten times as long as a parse, and parsing
+    leaves a parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="cyclehit",
         description="t-factors of regular multigraphs meeting prescribed cycle sets",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    subparsers = {}
 
-    p = sub.add_parser("gen", help="generate a named family instance")
+    p = subparsers["gen"] = sub.add_parser("gen", help="generate a named family instance")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--r", type=int, help="regularity parameter (thm4, thm5, random)")
     p.add_argument("--t", type=int, help="target factor degree (thm4)")
@@ -92,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output .mg path")
     p.add_argument("--cycles", required=True, help="output .cyc path")
 
-    p = sub.add_parser("solve", help="run a constructive pipeline")
+    p = subparsers["solve"] = sub.add_parser("solve", help="run a constructive pipeline")
     p.add_argument("--pipeline", required=True, choices=PIPELINES)
     p.add_argument("--graph", required=True)
     p.add_argument("--cycles", required=True)
@@ -106,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unchecked", action="store_true",
                    help="skip precondition checks (regularity, connectivity, parity)")
 
-    p = sub.add_parser("oracle", help="exact brute-force t-factor oracle")
+    p = subparsers["oracle"] = sub.add_parser("oracle", help="exact brute-force t-factor oracle")
     p.add_argument("--graph", required=True)
     p.add_argument("--cycles")
     p.add_argument("--t", type=int, required=True)
@@ -115,14 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--max-seconds", type=float)
 
-    p = sub.add_parser("verify", help="check a factor file against a graph")
+    p = subparsers["verify"] = sub.add_parser("verify", help="check a factor file against a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--factor", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--cycles")
     p.add_argument("--mode", choices=MODES, default="none")
 
-    p = sub.add_parser("orient", help="even-indegree orientation avoiding oriented cycles")
+    p = subparsers["orient"] = sub.add_parser("orient", help="even-indegree orientation avoiding oriented cycles")
     p.add_argument("--graph", required=True)
     p.add_argument("--cycles", required=True)
     p.add_argument("--t", type=int, required=True)
@@ -133,11 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seconds", type=float)
     p.add_argument("--unchecked", action="store_true")
 
-    p = sub.add_parser("check", help="parse inputs and report basic invariants")
+    p = subparsers["check"] = sub.add_parser("check", help="parse inputs and report basic invariants")
     p.add_argument("--graph", required=True)
     p.add_argument("--cycles")
     p.add_argument("--orientation")
-    return parser
+    return parser, subparsers
 
 
 def _cmd_gen(args) -> int:
@@ -268,14 +270,25 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # The subcommand's parser reads what the top-level parser would hand
+        # it, so argv is parsed once.  The top-level parser runs only to
+        # report what that leaves: no or an unknown subcommand (or --help),
+        # and arguments left over.
+        name = argv[0] if argv else None
+        if name in subparsers:
+            args, extra = subparsers[name].parse_known_args(argv[1:])
+        if name not in subparsers or extra:
+            args = parser.parse_args(argv)
+            name = args.subcommand
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help.
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.subcommand](args)
+        return _COMMANDS[name](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -82,6 +82,15 @@ class CycleSet:
         self.cycles = tuple(checked)
         self.walks = tuple(walks)
 
+    @classmethod
+    def _built(cls, host: Multigraph, cycles: tuple, walks: tuple) -> CycleSet:
+        """A cycle set whose cycles and walks the caller has just built in
+        host, so nothing is checked again; parsed and caller input goes
+        through the checking constructor."""
+        self = cls.__new__(cls)
+        self.host, self.cycles, self.walks = host, cycles, walks
+        return self
+
     def __len__(self) -> int:
         return len(self.cycles)
 

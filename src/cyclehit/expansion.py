@@ -44,7 +44,8 @@ def cubic_expansion(
     Built in one pass over the edge ends as slots: each two consecutive
     edges of a cycle take one sibling group at their shared vertex, in
     cycle order, and every other end takes a slot left at its vertex.
-    Returns the expansion map and the induced cycle set (same edge ids).
+    Returns the expansion map and the induced cycle set (same edge ids),
+    whose walks are the pair vertices the pass placed, not checked again.
     For the claw (t = 1) both are the input itself: G and O are returned,
     with no graph or cycle set built.
     """
@@ -90,17 +91,22 @@ def cubic_expansion(
     # end[2e + i]: the expanded vertex replacing endpoint i of edge e, where
     # i = 0 stands for G.edges[e][0]; -1 while unset.  A cycle visits a
     # vertex at most once, so each vertex takes its pairs in cycle index
-    # order.
+    # order.  The vertex a pair takes is where its two edges meet in the
+    # expansion, so it is the cycle's expanded walk at that position.
     edges = G.edges
     end = [-1] * (2 * G.m)
     npairs = [0] * G.n
+    walks = []
     for cyc, walk in zip(O.cycles, O.walks):
+        expanded_walk = []
         for v, e, f in zip(walk, cyc[-1:] + cyc[:-1], cyc):
             p = npairs[v]
             npairs[v] = p + 1
             if p < len(pair_groups):
                 x = v * block + group_vertex[pair_groups[p]]
                 end[2 * e + (edges[e][0] != v)] = end[2 * f + (edges[f][0] != v)] = x
+                expanded_walk.append(x)
+        walks.append(tuple(expanded_walk))
     for v, p in enumerate(npairs):
         if p > len(pair_groups):
             raise AssertionError(
@@ -122,7 +128,7 @@ def cubic_expansion(
     expanded = Multigraph(G.n * block, new_edges)
     if expanded.is_regular() != 3:
         raise AssertionError("cubic expansion produced a non-cubic graph")
-    return ExpansionMap(expanded), CycleSet(expanded, O.cycles)
+    return ExpansionMap(expanded), CycleSet._built(expanded, O.cycles, tuple(walks))
 
 
 def split_factor(G: Multigraph, D: Orientation, O: CycleSet, t: int) -> Factor:

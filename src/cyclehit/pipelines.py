@@ -105,6 +105,7 @@ def third_pipeline(
     accepted, and G must be 3-connected; 2-cycles are rejected even when
     checked=False.
     """
+    _require(t >= 1, "t must be a positive integer")
     if arbitrary:
         _require(e is None, "the arbitrary third pipeline takes no forced edge")
     else:
@@ -189,7 +190,9 @@ def half_pipeline(
 
 def extend_factor(G: Multigraph, F: Factor, l: int) -> Factor:
     """Grow a t-factor to an l-factor containing it, for any l of the same
-    parity with t <= l <= r, by adding 2-factors of the complement."""
+    parity with t <= l <= r, by adding 2-factors of the complement.  At
+    l = r these are all of them, whose union is the complement, so the
+    result is every edge and no 2-factor is peeled."""
     r = G.is_regular()
     _require(r is not None, "graph must be regular")
     _require(F.host == G, "factor does not belong to this graph")
@@ -200,6 +203,8 @@ def extend_factor(G: Multigraph, F: Factor, l: int) -> Factor:
     )
     if l == F.t:
         return F
+    if l == r:
+        return Factor(G, l, tuple(range(G.m)))
     fset = F.edge_set()
     rest_ids = [e for e in range(G.m) if e not in fset]
     rest = Multigraph(G.n, [G.edges[e] for e in rest_ids])

@@ -1,10 +1,11 @@
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from cyclehit import parse_factor, parse_multigraph, parse_orientation, parse_cycles
-from cyclehit.cli import main
+from cyclehit.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -194,8 +195,6 @@ def test_main_repeats_in_one_process(tmp_path, capsys):
     """The parser is built once per process; repeated calls must still give
     each call's own exit code and output, with nothing left over from an
     earlier call's arguments."""
-    from cyclehit.cli import _build_parser
-
     g = tmp_path / "p.mg"
     c = tmp_path / "p.cyc"
     code, out, err = run(capsys, "gen", "--family", "petersen")
@@ -343,3 +342,99 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch,
         assert err == ""
     if code == 4:
         assert err.endswith(f"internal error: RuntimeError: {_BOOM}\n")
+
+
+_TOP_USAGE = "usage: cyclehit [-h] {gen,solve,oracle,verify,orient,check} ...\n"
+_SOLVE_USAGE = (
+    "usage: cyclehit solve [-h] --pipeline {third,half,third-arb,half-arb} --graph GRAPH "
+    "--cycles CYCLES --t T [--l L] [--force-edge FORCE_EDGE] [--out OUT] "
+    "[--out-orientation OUT_ORIENTATION]\n"
+    "                      [--max-nodes MAX_NODES] [--max-seconds MAX_SECONDS] [--unchecked]\n"
+)
+_SOLVE_THIRD = ("--pipeline", "third", *_PETERSEN, "--t", "1", "--force-edge", "0")
+
+# (argv, exit code, stdout, stderr), as the single top-level parse_args
+# call that main made before gave them, on a 200-column terminal (argparse
+# 3.10 to 3.13 wrap these lines alike at that width).
+PARSER_EDGES = [
+    pytest.param((), 2, "", _TOP_USAGE
+                 + "cyclehit: error: the following arguments are required: subcommand\n",
+                 id="empty"),
+    pytest.param(("-h",), 0, _TOP_USAGE + (
+        "\n"
+        "t-factors of regular multigraphs meeting prescribed cycle sets\n"
+        "\n"
+        "positional arguments:\n"
+        "  {gen,solve,oracle,verify,orient,check}\n"
+        "    gen                 generate a named family instance\n"
+        "    solve               run a constructive pipeline\n"
+        "    oracle              exact brute-force t-factor oracle\n"
+        "    verify              check a factor file against a graph\n"
+        "    orient              even-indegree orientation avoiding oriented cycles\n"
+        "    check               parse inputs and report basic invariants\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), "", id="help"),
+    pytest.param(("frobnicate",), 2, "", _TOP_USAGE
+                 + "cyclehit: error: argument subcommand: invalid choice: 'frobnicate' "
+                 "(choose from 'gen', 'solve', 'oracle', 'verify', 'orient', 'check')\n",
+                 id="unknown-subcommand"),
+    pytest.param(("solve",), 2, "", _SOLVE_USAGE
+                 + "cyclehit solve: error: the following arguments are required: "
+                 "--pipeline, --graph, --cycles, --t\n", id="solve-missing"),
+    pytest.param(("solve", "--help"), 0, _SOLVE_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --pipeline {third,half,third-arb,half-arb}\n"
+        "  --graph GRAPH\n"
+        "  --cycles CYCLES\n"
+        "  --t T\n"
+        "  --l L                 extend the witness to an l-factor\n"
+        "  --force-edge FORCE_EDGE\n"
+        "                        edge id to force (pipeline third)\n"
+        "  --out OUT             output .fac path\n"
+        "  --out-orientation OUT_ORIENTATION\n"
+        "                        output .ori path (half pipelines)\n"
+        "  --max-nodes MAX_NODES\n"
+        "  --max-seconds MAX_SECONDS\n"
+        "  --unchecked           skip precondition checks (regularity, connectivity, parity)\n"),
+                 "", id="solve-help"),
+    pytest.param(("solve", *_SOLVE_THIRD, "--bogus"), 2, "", _TOP_USAGE
+                 + "cyclehit: error: unrecognized arguments: --bogus\n", id="solve-left-over"),
+    pytest.param(("solve", "--pipe", *_SOLVE_THIRD[1:]), 0,
+                 "ok t=1 hits=hit-matching nodes=1\n", "", id="solve-abbreviated"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSER_EDGES)
+def test_main_parses_like_the_top_level_parser(monkeypatch, capsys, argv, code, out, err):
+    """main hands the arguments after a known subcommand to that
+    subcommand's parser; whatever argv it gets, the exit code and the
+    output are those of one top-level parse."""
+    monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.chdir(GOLDEN_INPUTS.parent)
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_a_valid_solve_never_runs_the_top_level_parser(monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN_INPUTS.parent)
+    parser, subparsers = _build_parser()
+    solve = subparsers["solve"]
+    with mock.patch.object(parser, "parse_known_args", wraps=parser.parse_known_args) as top, \
+            mock.patch.object(solve, "parse_known_args", wraps=solve.parse_known_args) as sub:
+        assert run(capsys, "solve", *_SOLVE_THIRD)[0] == 0
+        assert (top.call_count, sub.call_count) == (0, 1)
+        assert run(capsys, "solve", *_SOLVE_THIRD, "--bogus")[0] == 2
+        assert (top.call_count, sub.call_count) == (1, 3)
+
+
+@pytest.mark.parametrize("unchecked", [(), ("--unchecked",)], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("t", ["0", "-1"])
+@pytest.mark.parametrize("pipeline, forced", [("third", ("--force-edge", "0")), ("third-arb", ())],
+                         ids=["third", "third-arb"])
+def test_third_pipelines_check_t_before_their_preconditions(
+        monkeypatch, capsys, pipeline, forced, t, unchecked):
+    monkeypatch.chdir(GOLDEN_INPUTS.parent)
+    assert run(capsys, "solve", "--pipeline", pipeline, *_PETERSEN, "--t", t,
+               *forced, *unchecked) == (2, "", "error: t must be a positive integer\n")

@@ -87,7 +87,10 @@ def test_cubic_expansion_matches_its_first_form(tree, n, seed, parity):
     """The expansion walked over endpoint slots equals the one built from
     sorted per-vertex pairs and an (edge, vertex) dict
     (conftest.reference_cubic_expansion): the same expanded graph and the
-    same induced cycles, on every claw-grown and even-leaf tree used."""
+    same induced cycles, on every claw-grown and even-leaf tree used.  The
+    induced set's walks, kept from the pass and not checked, are those the
+    checking constructor finds; no search reads them, so only this catches
+    a wrong one."""
     L, T = TREES[tree]
     if n * L % 2:
         n += 1
@@ -98,6 +101,7 @@ def test_cubic_expansion_matches_its_first_form(tree, n, seed, parity):
     assert xmap == ref_map
     assert induced.host == ref_induced.host
     assert induced.cycles == ref_induced.cycles == O.cycles
+    assert induced.walks == CycleSet(xmap.expanded, O.cycles).walks
 
 
 @pytest.mark.parametrize("tree", sorted(TREES))

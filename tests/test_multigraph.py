@@ -227,8 +227,9 @@ def test_3_connectivity_matches_brute_force_on_cubic_2_edge_cuts(monkeypatch):
 @pytest.mark.parametrize("G", [petersen(), *(prism(k) for k in range(3, 9))],
                          ids=["petersen", *(f"prism{k}" for k in range(3, 9))])
 def test_3_connected_cubic_graphs_need_no_pair_test(monkeypatch, G):
-    """Each edge's label is filed once at each end and nowhere else, so
-    the screen ends after one search, the labels and the filing."""
+    """A cubic vertex files nothing, because its one-edge splits are read
+    off the edge labels, so the screen ends after one _biconnected_tree
+    search and makes no _may_face_component call."""
     calls = {"_may_face_component": 0, "_biconnected_tree": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(multigraph, name)):

@@ -27,8 +27,18 @@ from cyclehit import (
     verify_orientation,
     vertex_connectivity,
 )
-from cyclehit import factors, solver
+from cyclehit import factors, pipelines, solver
 from conftest import circulant, doubled_triangle, k4
+
+
+@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("arbitrary", [False, True], ids=["plain", "arbitrary"])
+def test_third_pipeline_checks_t_first(t, checked, arbitrary):
+    G = petersen()
+    with pytest.raises(GraphError, match="^t must be a positive integer$"):
+        third_pipeline(G, petersen_cycles(G), None if arbitrary else 0, t,
+                       checked=checked, arbitrary=arbitrary)
 
 
 def test_third_pipeline_petersen_every_edge():
@@ -132,6 +142,26 @@ def test_extend_factor_peels_only_the_two_factors_it_keeps(seed):
             L = extend_factor(G, F, l)
         assert L == Factor(G, l, tuple(sorted(first_form)))
         assert peel.call_count == needed
+
+
+@pytest.mark.parametrize("pipeline, t, l", [("third", 1, 3), ("half", 2, 4)])
+def test_extend_factor_at_r_is_every_edge_and_peels_nothing(pipeline, t, l):
+    """At l = r the 2-factors of F's complement are all of it, so the
+    l-factor is every edge, and no 2-factor is peeled to find that out."""
+    for seed in range(6):
+        G = random_regular_multigraph(8 + 2 * seed, l, seed)
+        O = pack_cycles(G, parity="odd")
+        if pipeline == "third":
+            F = third_pipeline(G, O, seed, t).factor
+        else:
+            F = half_pipeline(G, O, t).factor
+        rest_ids = [e for e in range(G.m) if e not in F.edge_set()]
+        complement = two_factorization(Multigraph(G.n, [G.edges[e] for e in rest_ids]))
+        union = set(F.edge_ids).union(*({rest_ids[e] for e in H.edge_ids} for H in complement))
+        with mock.patch.object(pipelines, "_two_factors", wraps=factors._two_factors) as peel:
+            L = extend_factor(G, F, l)
+        assert peel.call_count == 0
+        assert L == Factor(G, l, tuple(range(G.m))) == Factor(G, l, tuple(union))
 
 
 def test_extend_factor_validation():
