@@ -18,7 +18,7 @@ from .cycles import CycleSet, parse_cycles
 from .factors import MODES, parse_factor, serialize_factor, verify_factor, verify_intersections
 from .families import FamilyInstance, gen_doubled, gen_sec6_2k, gen_thm4, gen_thm5, petersen, petersen_cycles
 from .instances import pack_cycles, random_regular_multigraph
-from .multigraph import FormatError, GraphError, Multigraph, parse_multigraph, vertex_connectivity
+from .multigraph import GraphError, Multigraph, parse_multigraph, vertex_connectivity
 from .orientation import parse_orientation, serialize_orientation, verify_orientation
 from .pipelines import extend_factor, half_pipeline, orient_even_indegree, third_pipeline
 from .solver import SAT, UNSAT, BudgetExceededError, SearchBudget, t_factor_oracle
@@ -82,6 +82,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     subparsers = {}
 
     p = subparsers["gen"] = sub.add_parser("gen", help="generate a named family instance")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--r", type=int, help="regularity parameter (thm4, thm5, random)")
     p.add_argument("--t", type=int, help="target factor degree (thm4)")
@@ -95,6 +96,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--cycles", required=True, help="output .cyc path")
 
     p = subparsers["solve"] = sub.add_parser("solve", help="run a constructive pipeline")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("--pipeline", required=True, choices=PIPELINES)
     p.add_argument("--graph", required=True)
     p.add_argument("--cycles", required=True)
@@ -106,9 +108,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--max-seconds", type=float)
     p.add_argument("--unchecked", action="store_true",
-                   help="skip precondition checks (regularity, connectivity, parity)")
+                   help="skip the connectivity and parity checks")
 
     p = subparsers["oracle"] = sub.add_parser("oracle", help="exact brute-force t-factor oracle")
+    p.set_defaults(run=_cmd_oracle)
     p.add_argument("--graph", required=True)
     p.add_argument("--cycles")
     p.add_argument("--t", type=int, required=True)
@@ -118,6 +121,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--max-seconds", type=float)
 
     p = subparsers["verify"] = sub.add_parser("verify", help="check a factor file against a graph")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--graph", required=True)
     p.add_argument("--factor", required=True)
     p.add_argument("--t", type=int, required=True)
@@ -125,6 +129,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--mode", choices=MODES, default="none")
 
     p = subparsers["orient"] = sub.add_parser("orient", help="even-indegree orientation avoiding oriented cycles")
+    p.set_defaults(run=_cmd_orient)
     p.add_argument("--graph", required=True)
     p.add_argument("--cycles", required=True)
     p.add_argument("--t", type=int, required=True)
@@ -136,6 +141,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--unchecked", action="store_true")
 
     p = subparsers["check"] = sub.add_parser("check", help="parse inputs and report basic invariants")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("--graph", required=True)
     p.add_argument("--cycles")
     p.add_argument("--orientation")
@@ -259,16 +265,6 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "oracle": _cmd_oracle,
-    "verify": _cmd_verify,
-    "orient": _cmd_orient,
-    "check": _cmd_check,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -283,16 +279,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             args, extra = subparsers[name].parse_known_args(argv[1:])
         if name not in subparsers or extra:
             args = parser.parse_args(argv)
-            name = args.subcommand
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help.
         return int(exc.code or 0)
     try:
-        return _COMMANDS[name](args)
+        return args.run(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, GraphError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -20,14 +20,13 @@ from typing import Optional
 from .cycles import CycleSet
 from .expansion import cubic_expansion, split_factor
 from .factors import Factor, _two_factors, verify_factor, verify_intersections
-from .gadgets import build_even_leaf_tree, build_gadget_tree
+from .gadgets import GadgetTree, build_even_leaf_tree, build_gadget_tree
 from .multigraph import GraphError, Multigraph, is_k_connected
 from .orientation import Orientation, balanced_orientation, verify_orientation
 from .solver import (
     SAT,
     UNSAT,
     BudgetExceededError,
-    OracleVerdict,
     SearchBudget,
     t_factor_oracle,
 )
@@ -60,29 +59,34 @@ def _check_common(
     checked: bool,
     arbitrary: bool,
 ):
-    """Odd cycles on 2-connected input, or with arbitrary=True cycles of any
-    length >= 3 on 3-connected input; 2-cycles are rejected under arbitrary
-    even when checked=False."""
+    """O must be a cycle set of G, and G regularity-regular; then odd
+    cycles on 2-connected input, or with arbitrary=True cycles of any length
+    >= 3 on 3-connected input.  checked=False skips only the connectivity
+    and parity checks, so no gadget tree is built for a graph that cannot
+    take it."""
     if arbitrary:
         _require(O.min_length() >= 3 or len(O) == 0, "2-cycles are not allowed here")
+    _require(O.host == G, "cycle set does not belong to this graph")
+    _require(G.is_regular() == regularity, f"graph must be {regularity}-regular")
     if not checked:
         return
     connectivity = 3 if arbitrary else 2
-    _require(O.host == G, "cycle set does not belong to this graph")
-    _require(G.is_regular() == regularity, f"graph must be {regularity}-regular")
-    _require(
-        is_k_connected(G, connectivity),
-        f"graph must be {connectivity}-connected",
-    )
+    _require(is_k_connected(G, connectivity), f"graph must be {connectivity}-connected")
     if not arbitrary:
         _require(O.all_odd(), "all prescribed cycles must be odd")
 
 
-def _unwrap(verdict: OracleVerdict, what: str, m: int) -> tuple[int, ...]:
-    """The original edges of the matching found on a cubic expansion of a
-    graph with m edges: the expansion keeps that graph's edge ids."""
+def _match_expansion(G: Multigraph, O: CycleSet, tree: GadgetTree, budget: Optional[SearchBudget],
+                     e: Optional[int], what: str) -> tuple[tuple[int, ...], int]:
+    """G's edges in a cycle-hitting perfect matching, through edge e if it
+    is given, of the cubic expansion of G by tree, and the search's node
+    count.  The expansion keeps G's edge ids, so G's are those below G.m.
+    The expansion of a 2-connected graph has no bridge, so the search
+    leaves out bridge parity, which changes no verdict."""
+    xmap, induced = cubic_expansion(G, O, tree)
+    verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget, e, bridge_parity=False)
     if verdict.status == SAT:
-        return tuple(e for e in verdict.witness.edge_ids if e < m)
+        return tuple(f for f in verdict.witness.edge_ids if f < G.m), verdict.nodes_explored
     if verdict.status == UNSAT:
         # Guaranteed SAT when the preconditions hold, so this is a breach.
         raise GraphError(f"{what} is unsolvable; the input violates a precondition")
@@ -102,8 +106,8 @@ def third_pipeline(
     cycle is a non-empty matching (G 2-connected and 3t-regular).
 
     With arbitrary=True, e must be None, cycles of any length >= 3 are
-    accepted, and G must be 3-connected; 2-cycles are rejected even when
-    checked=False.
+    accepted, and G must be 3-connected.  checked=False skips only the
+    connectivity and parity checks.
     """
     _require(t >= 1, "t must be a positive integer")
     if arbitrary:
@@ -112,9 +116,8 @@ def third_pipeline(
         _require(e is not None, "the third pipeline needs a forced edge")
         _require(0 <= e < G.m, f"edge id {e} out of range")
     _check_common(G, O, 3 * t, checked, arbitrary)
-    xmap, induced = cubic_expansion(G, O, build_gadget_tree(t))
-    verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget, e, bridge_parity=False)
-    F = Factor(G, t, _unwrap(verdict, "expanded matching instance", G.m))
+    ids, nodes = _match_expansion(G, O, build_gadget_tree(t), budget, e, "expanded matching instance")
+    F = Factor(G, t, ids)
     checks = {
         "t_factor": verify_factor(G, F, t),
         "forced_edge": e is None or e in F.edge_ids,
@@ -122,7 +125,7 @@ def third_pipeline(
     }
     if not all(checks.values()):
         raise AssertionError(f"pipeline postcondition failed: {checks}")
-    return PipelineReport(factor=F, nodes=verdict.nodes_explored)
+    return PipelineReport(factor=F, nodes=nodes)
 
 
 def orient_even_indegree(
@@ -140,8 +143,8 @@ def orient_even_indegree(
     is directed (balanced_orientation), then flip the original edges
     matched in a cycle-hitting perfect matching of the cubic expansion by
     even-leaf gadget trees.  With arbitrary=True, cycles of any length >= 3
-    are accepted and G must be 3-connected; 2-cycles are rejected even when
-    checked=False.
+    are accepted and G must be 3-connected.  checked=False skips only the
+    connectivity and parity checks.
     """
     return _orient(G, O, t, budget, checked, arbitrary)[0]
 
@@ -158,12 +161,12 @@ def _orient(
     _require(t >= 2 and t % 2 == 0, "t must be an even integer >= 2")
     _check_common(G, O, 2 * t, checked, arbitrary)
     D = balanced_orientation(G, O)
-    xmap, induced = cubic_expansion(G, O, build_even_leaf_tree(2 * t))
-    verdict = t_factor_oracle(xmap.expanded, 1, induced, "hit", budget, bridge_parity=False)
-    flipped = D.flipped(_unwrap(verdict, "orientation matching instance", G.m))
+    tree = build_even_leaf_tree(2 * t)
+    ids, nodes = _match_expansion(G, O, tree, budget, None, "orientation matching instance")
+    flipped = D.flipped(ids)
     if not verify_orientation(G, flipped, O):
         raise AssertionError("orientation postcondition failed")
-    return flipped, verdict.nodes_explored
+    return flipped, nodes
 
 
 def half_pipeline(

@@ -508,11 +508,11 @@ def t_factor_oracle(
         raise GraphError("t must be non-negative")
     if O is not None and O.host != G:
         raise GraphError("cycle set does not belong to this graph")
-    clock = _Clock(budget)
-    engine = _DegreeSearch(G, t, tuple(O or ()), mode, clock, bridge_parity)
     forced = () if forced_edge is None else (forced_edge,)
     if forced and not 0 <= forced_edge < G.m:
         raise GraphError(f"edge id {forced_edge} out of range")
+    clock = _Clock(budget)
+    engine = _DegreeSearch(G, t, tuple(O or ()), mode, clock, bridge_parity)
     try:
         ids = engine.search(forced_in=forced)
     except BudgetExceededError:

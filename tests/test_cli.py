@@ -251,6 +251,13 @@ EXIT_CONTRACT = [
      None, 0, "ok t=2 hits=hit-and-cohit nodes=", ""),
     ("solve", ("--pipeline", "half", *_R4, "--t", "3"),
      None, 2, "", "error: t must be an even integer >= 2\n"),
+    pytest.param("solve", ("--pipeline", "third", *_PETERSEN, "--t", "100000000",
+                           "--force-edge", "0", "--unchecked"),
+                 None, 2, "", "error: graph must be 300000000-regular\n",
+                 id="solve-2-huge-t-third-unchecked"),
+    pytest.param("solve", ("--pipeline", "half", *_R4, "--t", "100000000", "--unchecked"),
+                 None, 2, "", "error: graph must be 200000000-regular\n",
+                 id="solve-2-huge-t-half-unchecked"),
     ("solve", ("--pipeline", "half", *_R4, "--t", "2", "--max-nodes", "1"),
      None, 3, "", "budget exceeded: orientation matching instance exceeded"),
     ("solve", ("--pipeline", "third", *_PETERSEN, "--t", "1", "--force-edge", "0"),
@@ -301,9 +308,15 @@ EXIT_CONTRACT = [
                  id="verify-2-bad-cycles-none"),
     ("orient", (*_R4, "--t", "2"),
      None, 0, "ok t=2 oriented m=20\n", ""),
-    # Checks skipped, so the balanced orientation meets the odd degrees.
+    # --unchecked skips only connectivity and parity, so the degree is
+    # still checked before any orientation or gadget tree is built.
     ("orient", (*_PETERSEN, "--t", "2", "--unchecked"),
-     None, 2, "", "error: odd degree at vertex 0\n"),
+     None, 2, "", "error: graph must be 4-regular\n"),
+    # A huge t is refused by the degree check at once, with no gadget tree
+    # of 2t or 3t leaves built first.
+    pytest.param("orient", (*_R4, "--t", "100000000", "--unchecked"),
+                 None, 2, "", "error: graph must be 200000000-regular\n",
+                 id="orient-2-huge-t-unchecked"),
     ("orient", (*_R4, "--t", "2", "--max-nodes", "1"),
      None, 3, "", "budget exceeded: orientation matching instance exceeded"),
     ("orient", (*_R4, "--t", "2"),
@@ -398,7 +411,7 @@ PARSER_EDGES = [
         "                        output .ori path (half pipelines)\n"
         "  --max-nodes MAX_NODES\n"
         "  --max-seconds MAX_SECONDS\n"
-        "  --unchecked           skip precondition checks (regularity, connectivity, parity)\n"),
+        "  --unchecked           skip the connectivity and parity checks\n"),
                  "", id="solve-help"),
     pytest.param(("solve", *_SOLVE_THIRD, "--bogus"), 2, "", _TOP_USAGE
                  + "cyclehit: error: unrecognized arguments: --bogus\n", id="solve-left-over"),
@@ -427,6 +440,14 @@ def test_a_valid_solve_never_runs_the_top_level_parser(monkeypatch, capsys):
         assert (top.call_count, sub.call_count) == (0, 1)
         assert run(capsys, "solve", *_SOLVE_THIRD, "--bogus")[0] == 2
         assert (top.call_count, sub.call_count) == (1, 3)
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN_INPUTS.parent)
+    monkeypatch.setattr("sys.argv", ["cyclehit", "check", "--graph", "inputs/petersen.mg"])
+    code = main()
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (0, "graph n=10 m=15 regular=3 connectivity=3\n", "")
 
 
 @pytest.mark.parametrize("unchecked", [(), ("--unchecked",)], ids=["checked", "unchecked"])

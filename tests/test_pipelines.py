@@ -241,6 +241,40 @@ def test_checked_pipelines_never_compute_exact_connectivity(monkeypatch):
     assert verify_intersections(rep.factor, O3, "hit-matching")
 
 
+# Each pipeline at t = 1000, with the degree its gadget trees need.
+_HUGE_T = [
+    pytest.param(lambda G, O, **kw: third_pipeline(G, O, 0, 1000, **kw), 3000, id="third"),
+    pytest.param(lambda G, O, **kw: third_pipeline(G, O, None, 1000, arbitrary=True, **kw),
+                 3000, id="third-arb"),
+    pytest.param(lambda G, O, **kw: half_pipeline(G, O, 1000, **kw), 2000, id="half"),
+    pytest.param(lambda G, O, **kw: half_pipeline(G, O, 1000, arbitrary=True, **kw),
+                 2000, id="half-arb"),
+    pytest.param(lambda G, O, **kw: orient_even_indegree(G, O, 1000, **kw), 2000, id="orient"),
+]
+
+
+@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("call, degree", _HUGE_T)
+def test_pipelines_check_host_and_degree_before_building(monkeypatch, call, degree, checked):
+    """checked=False skips only connectivity and parity: a cycle set of
+    another graph, or a graph of the wrong degree, is refused with the
+    checked call's message before any gadget tree, orientation or expansion
+    is built."""
+    spies = {name: mock.Mock(side_effect=AssertionError(f"{name} ran"))
+             for name in ("build_gadget_tree", "build_even_leaf_tree",
+                          "balanced_orientation", "cubic_expansion")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(pipelines, name, spy)
+    G = petersen()
+    O = petersen_cycles(G)
+    with pytest.raises(GraphError, match=f"^graph must be {degree}-regular$"):
+        call(G, O, checked=checked)
+    G4 = random_regular_multigraph(10, 4, seed=2)
+    with pytest.raises(GraphError, match="^cycle set does not belong to this graph$"):
+        call(G4, O, checked=checked)
+    assert not any(spy.called for spy in spies.values())
+
+
 def test_pipeline_searches_skip_the_bridge_search():
     """The third, half, third-arb and half-arb searches run on bridgeless
     expansions, so they never list bridges; the oracle still does."""

@@ -141,6 +141,13 @@ def test_oracle_rejects_an_out_of_range_forced_edge():
             t_factor_oracle(G, 1, petersen_cycles(G), "hit", forced_edge=edge)
 
 
+def test_oracle_checks_the_forced_edge_before_building_its_engine(monkeypatch):
+    monkeypatch.setattr(solver, "_DegreeSearch", mock.Mock(side_effect=AssertionError("built")))
+    G = petersen()
+    with pytest.raises(GraphError, match=f"^edge id {G.m} out of range$"):
+        t_factor_oracle(G, 1, petersen_cycles(G), "hit", forced_edge=G.m)
+
+
 # Two K4-minus-edge blocks joined by the edges 10 and 11: a cubic graph
 # with a 2-edge-cut.
 CUT_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3),
