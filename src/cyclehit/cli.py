@@ -138,7 +138,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--out", help="output .ori path")
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--max-seconds", type=float)
-    p.add_argument("--unchecked", action="store_true")
+    p.add_argument("--unchecked", action="store_true",
+                   help="skip the connectivity and parity checks")
 
     p = subparsers["check"] = sub.add_parser("check", help="parse inputs and report basic invariants")
     p.set_defaults(run=_cmd_check)

@@ -3,14 +3,20 @@
 A t-factor through the forced edges that hits every prescribed cycle is an
 integral point of
 
-    x(delta(v)) = t_v for every vertex v,   x(C) >= 1 for every cycle C,
+    x(delta(v)) = t_v for every vertex v,   x(C) >= b_C for every cycle C,
     0 <= x <= u,
 
 with one column per class of parallel edges that share their endpoints and
 their cycle (or have none); u is the size of the class.  Each forced edge is
 fixed at 1: it lowers t_v at both of its ends and drops the row of the cycle
-it lies on.  A phase-1 bounded-variable simplex in floats, optimal or
-stopped by its pivot cap, decides two cases:
+it lies on.  b_C is 2 when C is exactly the cut delta(S) of one of the
+search's parity sets S with t|S| even, and 1 otherwise: a t-factor F meets
+delta(S) in t|S| - 2|F & E[S]| edges, an even number, and in one at least
+when it hits C, so every solution meets this rank-1 Chvatal-Gomory cut
+(Chvatal, Discrete Math. 4 (1973)).  On sec6-2k, whose k cycles are each
+the cut of a vertex pair, it cuts off the uniform point x = t/2k below
+t = k.  A phase-1 bounded-variable simplex in floats, optimal or stopped by
+its pivot cap, decides two cases:
 
 - its row duals y, rounded to fractions of denominator at most 64 with the
   cycle duals clamped at 0, are a Farkas certificate when
@@ -46,12 +52,17 @@ _INF = float("inf")
 
 
 def decide(
-    G: Multigraph, t: int, cycles: tuple[tuple[int, ...], ...], forced: tuple[int, ...]
+    G: Multigraph, t: int, cycles: tuple[tuple[int, ...], ...], forced: tuple[int, ...],
+    even_cuts: list[tuple[int, ...]],
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """(True, None) when a Farkas certificate proves that no t-factor of G
     through the forced edges hits every cycle; (True, witness) when an
-    integral LP point is one; (False, None) otherwise."""
+    integral LP point is one; (False, None) otherwise.  even_cuts are the
+    cuts delta(S) of vertex sets S with t|S| even, which every t-factor
+    meets in an even number of edges; the row of a cycle that is one of
+    them asks for 2."""
     fixed = set(forced)
+    even = set(map(frozenset, even_cuts))
     b = [t] * G.n
     for e in fixed:
         for w in G.edges[e]:
@@ -63,6 +74,7 @@ def decide(
             for e in cyc:
                 edge_row[e] = rows
             rows += 1
+            b.append(2 if frozenset(cyc) in even else 1)
     classes: dict[tuple[int, int, int], list[int]] = {}
     for e, (u, v) in enumerate(G.edges):
         if e not in fixed:
@@ -71,7 +83,6 @@ def decide(
         return False, None
     cols = list(classes)
     upper = [len(ids) for ids in classes.values()]
-    b += [1] * (rows - G.n)
     y, x = _phase1(cols, upper, b, G.n)
     if not all(map(math.isfinite, y + x)):
         return False, None  # the float simplex diverged
@@ -195,7 +206,7 @@ def _certifies(
 ) -> bool:
     """The exact Farkas check: y rounded to fractions of denominator at most
     64, and the duals of the cycle rows (n and up) clamped at 0, since only
-    y_C >= 0 keeps y_C x(C) >= y_C for every feasible x.  It runs in
+    y_C >= 0 keeps y_C x(C) >= y_C b_C for every feasible x.  It runs in
     integers, on the rounded duals times their common denominator, which
     keeps the strict inequality as it is.  Any y that passes proves the LP
     infeasible, wherever the simplex stopped."""

@@ -14,10 +14,12 @@ shrinks the search.
 
 In modes none and hit, a search still undecided at node _LP_NODE (64)
 pauses there for the LP relaxation (see relaxation), which runs only on an
-LP within its size cap: an exact Farkas certificate ends the search UNSAT,
-an integral LP point that checks out is its witness, and otherwise the
-search resumes where it paused.  So the witness is the first solution in
-search order only when the search ends within _LP_NODE nodes.
+LP within its size cap, and asks for two edges on each cycle that is the
+whole cut of a parity set owing even parity: an exact Farkas certificate
+ends the search UNSAT, an integral LP point that checks out is its
+witness, and otherwise the search resumes where it paused.  So the witness
+is the first solution in search order only when the search ends within
+_LP_NODE nodes.
 """
 
 from __future__ import annotations
@@ -104,10 +106,12 @@ _UNDEC, _IN, _OUT = 0, 1, 2
 _DECIDED = bytes([0, 1, 1]).ljust(256, b"\0")
 # Node at which a search pauses for the LP relaxation (modes none and hit
 # only); a search that ends by then is untouched.  The LP reads only the
-# graph, t, the cycles and the forced edges, so the node sets when it runs,
-# not what it decides.  The threshold families' LPs decide at once, so an
-# early pause saves the nodes before it; at 32, some of the pipelines'
-# small expansions, within the LP's size cap, would pay for the LP too.
+# graph, t, the cycles, the forced edges and the cuts of the parity sets
+# that owe even parity before any edge is decided, so the node sets when it
+# runs, not what it decides.  The threshold families' LPs (sec6-2k's through
+# those cuts) decide at once, so an early pause saves the nodes before it;
+# at 32, some of the pipelines' small expansions, within the LP's size cap,
+# would pay for the LP too.
 _LP_NODE = 64
 # Bytes one search may spend on its memo of failed residual problems, keys
 # and hash table together; once they are used up it stops recording, and
@@ -216,6 +220,7 @@ class _DegreeSearch:
         self.set_cut: list[tuple[int, ...]] = []
         self.set_und: list[int] = []
         self.set_odd: list[int] = []  # parity the undecided cut edges still owe
+        self.even_cuts: list[tuple[int, ...]] = []  # cuts of the sets with t|S| even
         self.roots: list[tuple[int, int]] = []  # decisions of one-edge cuts
 
     def _build_pruning(self, forced: tuple[int, ...]):
@@ -258,6 +263,7 @@ class _DegreeSearch:
         self.set_cut = [cut for cut, _ in sets]
         self.set_und = [len(cut) for cut in self.set_cut]
         self.set_odd = [odd for _, odd in sets]
+        self.even_cuts = [cut for cut, odd in sets if not odd]
 
     def _undecided_cycle_edge(self, ci: int) -> int:
         for e in self.cycles[ci]:
@@ -446,7 +452,8 @@ class _DegreeSearch:
             if entry not in memo:
                 tick()
                 if clock.nodes == pause:
-                    decided, ids = relaxation.decide(self.G, t, self.cycles, forced)
+                    decided, ids = relaxation.decide(
+                        self.G, t, self.cycles, forced, self.even_cuts)
                     if decided:
                         return ids
                 open_nodes.append((e, len(trail), clock.nodes, entry, False))

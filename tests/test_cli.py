@@ -413,6 +413,21 @@ PARSER_EDGES = [
         "  --max-seconds MAX_SECONDS\n"
         "  --unchecked           skip the connectivity and parity checks\n"),
                  "", id="solve-help"),
+    pytest.param(("orient", "--help"), 0, (
+        "usage: cyclehit orient [-h] --graph GRAPH --cycles CYCLES --t T [--arbitrary] "
+        "[--out OUT] [--max-nodes MAX_NODES] [--max-seconds MAX_SECONDS] [--unchecked]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --graph GRAPH\n"
+        "  --cycles CYCLES\n"
+        "  --t T\n"
+        "  --arbitrary           allow cycles of any length >= 3 (3-connected input)\n"
+        "  --out OUT             output .ori path\n"
+        "  --max-nodes MAX_NODES\n"
+        "  --max-seconds MAX_SECONDS\n"
+        "  --unchecked           skip the connectivity and parity checks\n"),
+                 "", id="orient-help"),
     pytest.param(("solve", *_SOLVE_THIRD, "--bogus"), 2, "", _TOP_USAGE
                  + "cyclehit: error: unrecognized arguments: --bogus\n", id="solve-left-over"),
     pytest.param(("solve", "--pipe", *_SOLVE_THIRD[1:]), 0,

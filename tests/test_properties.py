@@ -413,14 +413,15 @@ def test_memo_stays_within_its_byte_limit():
     """_MEMO_BYTES bounds the keys and the hash table of the memo, the
     table's next resize included: the search's peak traced memory exceeds
     that of the memo-off search by at most the limit.  sec6-2k k=5 at t=4
-    fills a memo of these sizes."""
+    fills a memo of these sizes in mode hit-and-cohit, which has no LP
+    stage; in mode hit, the LP stage ends that search at node 64."""
     inst = gen_sec6_2k(5)
 
     def peak(limit: int):
         with mock.patch.object(solver, "_MEMO_BYTES", limit):
             tracemalloc.start()
             try:
-                verdict = t_factor_oracle(inst.graph, 4, inst.cycles, "hit")
+                verdict = t_factor_oracle(inst.graph, 4, inst.cycles, "hit-and-cohit")
                 return verdict, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -2,7 +2,9 @@
 conftest: on LPs captured from relaxation.decide, _phase1 must stop at the
 same floats under every pivot cap, and the integer _certifies must give the
 Fraction check's answer on the duals it stopped at.  Also the size cap of
-decide: which LPs it refuses, and that the largest threshold LP passes."""
+decide: which LPs it refuses, and that the largest threshold LP passes; and
+the rows of 2 that the search's even parity sets give, against the brute
+force."""
 
 import sys
 from unittest import mock
@@ -10,17 +12,30 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from cyclehit import (
-    Factor, gen_sec6_2k, gen_thm4, gen_thm5, pack_cycles, random_regular_multigraph,
-    relaxation, verify_factor, verify_intersections,
+    CycleSet, Factor, Multigraph, gen_sec6_2k, gen_thm4, gen_thm5, pack_cycles,
+    random_regular_multigraph, relaxation, verify_factor, verify_intersections,
 )
-from conftest import factor_instances, reference_certifies, reference_phase1
+from cyclehit.solver import _Clock, _DegreeSearch
+from conftest import factor_instances, naive_factors, reference_certifies, reference_phase1
 
 PIVOT_CAPS = (0, 1, 2, 3, 5, 1000)
 
 
+def _even_cuts(G, t, cycles, forced) -> list[tuple[int, ...]]:
+    """The even parity sets' cuts that the search hands to decide."""
+    search = _DegreeSearch(G, t, cycles, "hit", _Clock(None))
+    search._build_pruning(forced)
+    return search.even_cuts
+
+
+def _decide(G, t, cycles, forced):
+    return relaxation.decide(G, t, cycles, forced, _even_cuts(G, t, cycles, forced))
+
+
 def _captured(calls) -> list[tuple]:
     """The arguments of every _phase1 call that relaxation.decide makes on
-    calls, a list of (G, t, cycles, forced), with its size cap lifted."""
+    calls, a list of (G, t, cycles, forced), given the search's even cuts,
+    with its size cap lifted."""
     lps = []
     solve = relaxation._phase1
 
@@ -31,7 +46,7 @@ def _captured(calls) -> list[tuple]:
     with mock.patch.object(relaxation, "_phase1", record), \
             mock.patch.object(relaxation, "_LP_MAX_CELLS", sys.maxsize):
         for G, t, cycles, forced in calls:
-            relaxation.decide(G, t, cycles, forced)
+            _decide(G, t, cycles, forced)
     return lps
 
 
@@ -91,7 +106,7 @@ def test_decide_refuses_lps_above_its_size_cap():
         G = random_regular_multigraph(170, 3, seed)
         cycles = tuple(pack_cycles(G).cycles)
         with mock.patch.object(relaxation, "_phase1", wraps=relaxation._phase1) as phase1:
-            assert relaxation.decide(G, 1, cycles, ()) == (False, None), seed
+            assert _decide(G, 1, cycles, ()) == (False, None), seed
         assert phase1.call_count == 0, seed
 
 
@@ -103,8 +118,8 @@ def test_decide_settles_thm5_r9_under_its_size_cap():
     inst = gen_thm5(9)
     G, cycles = inst.graph, tuple(inst.cycles.cycles)
     for t in (1, 2):
-        assert relaxation.decide(G, t, cycles, ()) == (True, None), t
-    decided, ids = relaxation.decide(G, 3, cycles, ())
+        assert _decide(G, t, cycles, ()) == (True, None), t
+    decided, ids = _decide(G, 3, cycles, ())
     assert decided and ids is not None
     F = Factor(G, 3, ids)
     assert verify_factor(G, F, 3) and verify_intersections(F, inst.cycles, "hit")
@@ -118,3 +133,28 @@ def test_phase1_keeps_its_pivot_path_on_random_lps(instance, data):
     _assert_same_path(_captured(
         [(G, t, tuple(O.cycles), edges) for t in range(4) for edges in forced]
     ))
+
+
+def test_decide_reads_even_cuts_as_the_brute_force_does():
+    """Cycles that are exactly the cut of an even parity set: the two
+    4-cycles of sec6-2k k=2, each the cut of a vertex pair, and a digon
+    that is the cut of a bridge side of 3 vertices.  At every t and through
+    every edge, decide gives a certificate only where the brute force finds
+    no solution, and a point only where it is one.  Without the rows of 2,
+    the uniform point of sec6-2k at t = 1 decides nothing, and neither does
+    the digon instance's fractional point at t = 2."""
+    sec6 = gen_sec6_2k(2)
+    bridged = Multigraph(6, [(0, 3), (0, 3), (0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0),
+                             (3, 4), (4, 5), (4, 5), (5, 3)])
+    cases = [(sec6.graph, sec6.cycles, 1, (True, None)),
+             (bridged, CycleSet(bridged, [(0, 1)]), 2, (True, (0, 1, 4, 5, 9, 10)))]
+    for G, O, t0, settled in cases:
+        cycles = tuple(O.cycles)
+        assert _decide(G, t0, cycles, ()) == settled
+        assert relaxation.decide(G, t0, cycles, (), []) == (False, None)
+        for t in range(5):
+            factors = naive_factors(G, t, O, "hit")
+            for forced in [()] + [(e,) for e in range(G.m)]:
+                want = [f for f in factors if set(forced) <= set(f)]
+                decided, ids = _decide(G, t, cycles, forced)
+                assert not decided or (ids in want if ids else not want), (t, forced)

@@ -134,6 +134,21 @@ def test_lp_stage_runs_in_modes_none_and_hit_only():
         assert (v.status, decide.call_count, v.nodes_explored) == (UNSAT, calls, nodes), mode
 
 
+def test_lp_stage_decides_sec6_2k_with_its_pair_cuts():
+    # Each prescribed 4-cycle of sec6-2k is the cut of a vertex pair joined
+    # by 2k - 2 parallel edges, so its LP row asks for 2: the LP stage
+    # settles both sides of t = k at its node, where the search alone takes
+    # 54,227 nodes at k=9, t=8, and more than 5 s at k=11.
+    for k in (5, 7, 9, 11):
+        inst = gen_sec6_2k(k)
+        for t, status in ((k - 1, UNSAT), (k, SAT)):
+            v = t_factor_oracle(inst.graph, t, inst.cycles, "hit")
+            assert (v.status, v.nodes_explored) == (status, solver._LP_NODE), (k, t)
+            if status == SAT:
+                assert verify_factor(inst.graph, v.witness, t), k
+                assert verify_intersections(v.witness, inst.cycles, "hit"), k
+
+
 def test_oracle_rejects_an_out_of_range_forced_edge():
     G = petersen()
     for edge in (-1, G.m):  # as an index, -1 would force the last edge
