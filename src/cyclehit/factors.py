@@ -67,34 +67,27 @@ def verify_factor(G: Multigraph, F: Union[Factor, Iterable[int]], t: int) -> boo
 def verify_intersections(
     F: Factor, O: CycleSet, mode: str
 ) -> bool:
-    """Check how a factor meets every cycle of a set.
-
-    hit: at least one shared edge per cycle; hit-matching: additionally the
-    shared edges of each cycle are pairwise non-adjacent; hit-and-cohit: at
-    least one shared and at least one unshared edge per cycle.
-    """
+    """True iff the factor meets every cycle of the set as meets_cycle
+    asks; always True in mode none."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if F.host != O.host:
         raise GraphError("factor and cycle set have different hosts")
-    if mode == "none":
-        return True
     fset = F.edge_set()
-    host = F.host
-    for cyc in O.cycles:
-        shared = [e for e in cyc if e in fset]
-        if not shared:
-            return False
-        if mode == "hit-and-cohit" and len(shared) == len(cyc):
-            return False
-        if mode == "hit-matching":
-            for i, e in enumerate(shared):
-                eu, ev = host.endpoints(e)
-                for f in shared[i + 1 :]:
-                    fu, fv = host.endpoints(f)
-                    if eu in (fu, fv) or ev in (fu, fv):
-                        return False
-    return True
+    return mode == "none" or all(meets_cycle(F.host, fset, cyc, mode) for cyc in O.cycles)
+
+
+def meets_cycle(G: Multigraph, ids: set[int], cycle: tuple[int, ...], mode: str) -> bool:
+    """True iff the edge ids meet one cycle of G as the hitting mode asks.
+
+    hit: at least one shared edge; hit-matching: additionally the shared
+    edges are pairwise non-adjacent, so their ends are all distinct;
+    hit-and-cohit: at least one shared and at least one unshared edge.
+    """
+    shared = [e for e in cycle if e in ids]
+    if not shared or (mode == "hit-and-cohit" and len(shared) == len(cycle)):
+        return False
+    return mode != "hit-matching" or len({w for e in shared for w in G.edges[e]}) == 2 * len(shared)
 
 
 def _bipartite_perfect_matching(

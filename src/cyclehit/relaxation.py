@@ -1,31 +1,41 @@
 """The LP relaxation of the oracle's problem, for searches that run long.
 
-A t-factor through the forced edges that hits every prescribed cycle is an
-integral point of
+A t-factor through the forced edges that meets every prescribed cycle in
+the search's hitting mode is an integral point of
 
-    x(delta(v)) = t_v for every vertex v,   x(C) >= b_C for every cycle C,
-    0 <= x <= u,
+    x(delta(v)) = t_v for every vertex v,   b_C <= x(C) <= U_C for every
+    cycle C,   0 <= x <= u,
 
 with one column per class of parallel edges that share their endpoints and
 their cycle (or have none); u is the size of the class.  Each forced edge is
 fixed at 1: it lowers t_v at both of its ends and drops the row of the cycle
-it lies on.  b_C is 2 when C is exactly the cut delta(S) of one of the
-search's parity sets S with t|S| even, and 1 otherwise: a t-factor F meets
-delta(S) in t|S| - 2|F & E[S]| edges, an even number, and in one at least
-when it hits C, so every solution meets this rank-1 Chvatal-Gomory cut
-(Chvatal, Discrete Math. 4 (1973)).  On sec6-2k, whose k cycles are each
-the cut of a vertex pair, it cuts off the uniform point x = t/2k below
-t = k.  A phase-1 bounded-variable simplex in floats, optimal or stopped by
-its pivot cap, decides two cases:
+it lies on.  Every row holds for every solution:
 
-- its row duals y, rounded to fractions of denominator at most 64 with the
-  cycle duals clamped at 0, are a Farkas certificate when
-  sum_e u_e max(a_e.y, 0) < b.y holds exactly.  Every feasible x has
-  x.(A^T y) >= b.y, with equality on the vertex rows and y_C >= 0 on the
-  cycle rows, while x.(A^T y) <= sum_e u_e max(a_e.y, 0); so no x, and no
-  t-factor, exists.  The float status is never taken as proof;
+- b_C is 2 when C is exactly the cut delta(S) of one of the search's parity
+  sets S with t|S| even, and 1 otherwise: a t-factor F meets delta(S) in
+  t|S| - 2|F & E[S]| edges, an even number, and in one at least when it
+  hits C, so every solution meets this rank-1 Chvatal-Gomory cut (Chvatal,
+  Discrete Math. 4 (1973)).  On sec6-2k, whose k cycles are each the cut of
+  a vertex pair, it cuts off the uniform point x = t/2k below t = k.
+- U_C is floor(|C|/2) in mode hit-matching, where F & C is a matching of
+  the cycle C (the odd-set row of Edmonds, J. Res. NBS 69B (1965), for an
+  odd C); |C| - 1 in mode hit-and-cohit, where F leaves an edge of C; and
+  no bound in modes hit and none.  A cycle row's surplus x(C) - b_C is
+  capped at U_C - b_C, and a cap below 0 (a 2-cycle that is an even cut, in
+  either bounded mode) settles the call before the simplex runs.
+
+A phase-1 bounded-variable simplex in floats, optimal or stopped by its
+pivot cap, decides two cases:
+
+- its row duals y, rounded to fractions of denominator at most 64, are a
+  Farkas certificate when sum_e u_e max(a_e.y, 0) + sum_C c_C max(-y_C, 0)
+  < b.y holds exactly, where c_C is the surplus cap and the dual of a row
+  with no cap is clamped at 0.  Every feasible x has x.(A^T y) - s.y = b.y
+  for its surpluses s, while the left side is at most that sum; so no x,
+  and no t-factor, exists.  The float status is never taken as proof;
 - its point is integral: the lowest-id edges of each class, as many as the
-  point says, with the forced edges, are a witness once they check out.
+  point says, with the forced edges, are a witness once they check out
+  as a t-factor that meets every cycle in the mode (factors.meets_cycle).
 
 Anything else decides nothing, and the search goes on.
 """
@@ -35,7 +45,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .factors import verify_factor
+from .factors import meets_cycle, verify_factor
 from .multigraph import Multigraph
 
 # Size cap, in rows times columns; decide refuses larger LPs before the
@@ -53,14 +63,15 @@ _INF = float("inf")
 
 def decide(
     G: Multigraph, t: int, cycles: tuple[tuple[int, ...], ...], forced: tuple[int, ...],
-    even_cuts: list[tuple[int, ...]],
+    even_cuts: list[tuple[int, ...]], mode: str,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """(True, None) when a Farkas certificate proves that no t-factor of G
-    through the forced edges hits every cycle; (True, witness) when an
-    integral LP point is one; (False, None) otherwise.  even_cuts are the
-    cuts delta(S) of vertex sets S with t|S| even, which every t-factor
-    meets in an even number of edges; the row of a cycle that is one of
-    them asks for 2."""
+    """(True, None) when a Farkas certificate, or a cycle row whose bounds
+    cross, proves that no t-factor of G through the forced edges meets
+    every cycle in the hitting mode; (True, witness) when an integral LP
+    point is one; (False, None) otherwise.
+    even_cuts are the cuts delta(S) of vertex sets S with t|S| even, which
+    every t-factor meets in an even number of edges; the row of a cycle
+    that is one of them asks for 2."""
     fixed = set(forced)
     even = set(map(frozenset, even_cuts))
     b = [t] * G.n
@@ -69,12 +80,17 @@ def decide(
             b[w] -= 1
     edge_row = [-1] * G.m
     rows = G.n
+    slack: list[float] = []  # U_C - b_C: the cap of each cycle row's surplus
     for cyc in cycles:
         if not fixed.intersection(cyc):
             for e in cyc:
                 edge_row[e] = rows
             rows += 1
             b.append(2 if frozenset(cyc) in even else 1)
+            most = {"hit-matching": len(cyc) // 2, "hit-and-cohit": len(cyc) - 1}.get(mode, _INF)
+            slack.append(most - b[-1])
+    if min(slack, default=0) < 0:
+        return True, None
     classes: dict[tuple[int, int, int], list[int]] = {}
     for e, (u, v) in enumerate(G.edges):
         if e not in fixed:
@@ -82,7 +98,7 @@ def decide(
     if len(classes) * rows > _LP_MAX_CELLS or min(b, default=0) < 0:
         return False, None
     cols = list(classes)
-    upper = [len(ids) for ids in classes.values()]
+    upper = [len(ids) for ids in classes.values()] + slack
     y, x = _phase1(cols, upper, b, G.n)
     if not all(map(math.isfinite, y + x)):
         return False, None  # the float simplex diverged
@@ -92,16 +108,17 @@ def decide(
     if any(abs(v - kv) > 1e-6 for v, kv in zip(x, k)):
         return False, None
     ids = fixed.union(*(group[:kv] for group, kv in zip(classes.values(), k)))
-    if not verify_factor(G, ids, t) or not all(ids.intersection(cyc) for cyc in cycles):
+    if not verify_factor(G, ids, t) or not all(meets_cycle(G, ids, cyc, mode) for cyc in cycles):
         return False, None
     return True, tuple(sorted(ids))
 
 
 def _phase1(
-    cols: list[tuple[int, int, int]], upper: list[int], b: list[int], n: int
+    cols: list[tuple[int, int, int]], upper: list[float], b: list[int], n: int
 ) -> tuple[list[float], list[float]]:
     """Minimise the sum of one artificial per row from the all-artificial
-    basis; rows n and up are cycle rows, each with a surplus column.  A
+    basis; rows n and up are cycle rows, each with a surplus column, and
+    upper caps cols, then the surpluses in row order (inf: no cap).  A
     revised simplex on an explicit basis inverse, with Dantzig's rule (ties
     to the lowest column), bounded columns, and at most _LP_MAX_PIVOTS
     steps.  Returns the duals of the rows and the values of cols where it
@@ -125,7 +142,7 @@ def _phase1(
     rows += [(n + k, R, R) for k in range(S)] + [(i, R, R) for i in range(R)]
     coef = [1.0] * J + [-1.0] * S + [1.0] * R
     cost = [0.0] * (J + S) + [1.0] * R
-    cap = [float(c) for c in upper] + [_INF] * (S + R)
+    cap = [float(c) for c in upper] + [_INF] * R
     inv = [[1.0 if k == i else 0.0 for k in range(R + 1)] for i in range(R)]
     beta = [float(v) for v in b]  # values of the basic columns
     basis = [J + S + i for i in range(R)]
@@ -202,22 +219,28 @@ def _phase1(
 
 
 def _certifies(
-    cols: list[tuple[int, int, int]], upper: list[int], b: list[int], y: list[float], n: int
+    cols: list[tuple[int, int, int]], upper: list[float], b: list[int], y: list[float], n: int
 ) -> bool:
     """The exact Farkas check: y rounded to fractions of denominator at most
-    64, and the duals of the cycle rows (n and up) clamped at 0, since only
-    y_C >= 0 keeps y_C x(C) >= y_C b_C for every feasible x.  It runs in
-    integers, on the rounded duals times their common denominator, which
-    keeps the strict inequality as it is.  Any y that passes proves the LP
-    infeasible, wherever the simplex stopped."""
+    64, and the dual of each cycle row (n and up) with an uncapped surplus
+    clamped at 0, since only y_C >= 0 keeps y_C x(C) >= y_C b_C for every
+    feasible x.  A row whose surplus s_C = x(C) - b_C is capped at c_C
+    keeps its dual: y_C x(C) >= y_C b_C - c_C max(-y_C, 0) there, so that
+    term joins the bound.  It runs in integers, on the rounded duals times
+    their common denominator, which keeps the strict inequality as it is.
+    Any y that passes proves the LP infeasible, wherever the simplex
+    stopped."""
     from fractions import Fraction
 
     rounded = {v: Fraction(v).limit_denominator(64) for v in set(y)}
     scale = math.lcm(*(f.denominator for f in rounded.values()))
     ys = [f.numerator * (scale // f.denominator) for f in map(rounded.__getitem__, y)]
-    ys[n:] = [max(v, 0) for v in ys[n:]]
+    surplus = upper[len(cols):]
+    ys[n:] = [max(v, 0) if c == _INF else v for v, c in zip(ys[n:], surplus)]
+    # The largest x.A^T y - s.y over 0 <= x <= u and 0 <= s <= c, times
+    # scale: the capped surpluses first.
+    most = sum(c * -v for v, c in zip(ys[n:], surplus) if v < 0)
     ys.append(0)  # the row of a column on no cycle
-    most = 0  # the largest x.A^T y over 0 <= x <= u, times scale
     for (u, v, r), cap in zip(cols, upper):
         a = ys[u] + ys[v] + ys[r]
         if a > 0:

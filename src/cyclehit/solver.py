@@ -7,24 +7,23 @@ verdicts and witnesses are deterministic.  The search also uses two more
 sound rules: parallel edges off the prescribed cycles are interchangeable,
 and every edge cut around a vertex pair joined by parallel edges, or across
 a bridge of the simple graph underneath, meets a factor with the parity
-Tutte's f-factor theorem fixes.  It also remembers the
-residual problems it has proven to have no solution, and skips them when
-they come up again.  None of this changes a verdict or a witness; it only
-shrinks the search.
+Tutte's f-factor theorem fixes.  Neither rule changes a verdict or a
+witness; they only shrink the search.
 
-In modes none and hit, a search still undecided at node _LP_NODE (64)
-pauses there for the LP relaxation (see relaxation), which runs only on an
-LP within its size cap, and asks for two edges on each cycle that is the
-whole cut of a parity set owing even parity: an exact Farkas certificate
-ends the search UNSAT, an integral LP point that checks out is its
-witness, and otherwise the search resumes where it paused.  So the witness
-is the first solution in search order only when the search ends within
-_LP_NODE nodes.
+A search still undecided at node _LP_NODE (64) pauses there for the LP
+relaxation (see relaxation), which runs only on an LP within its size cap.
+Each cycle row asks for at least one edge, two on a cycle that is the whole
+cut of a parity set owing even parity, and for at most floor(|C|/2) edges
+of the cycle C in mode hit-matching (the shared edges form a matching of
+C) or |C| - 1 in mode hit-and-cohit (one edge stays out); every solution
+meets these rows.  An exact Farkas certificate ends the search UNSAT, an
+integral LP point that checks out is its witness, and otherwise the search
+resumes where it paused.  So the witness is the first solution in search
+order only when the search ends within _LP_NODE nodes.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -102,28 +101,19 @@ class _Clock:
 
 
 _UNDEC, _IN, _OUT = 0, 1, 2
-# bytes.translate table: 1 for a decided edge, 0 for an undecided one.
-_DECIDED = bytes([0, 1, 1]).ljust(256, b"\0")
-# Node at which a search pauses for the LP relaxation (modes none and hit
-# only); a search that ends by then is untouched.  The LP reads only the
-# graph, t, the cycles, the forced edges and the cuts of the parity sets
+# Node at which a search pauses for the LP relaxation, in every mode; a
+# search that ends by then is untouched.  The LP reads only the graph, t,
+# the mode, the cycles, the forced edges and the cuts of the parity sets
 # that owe even parity before any edge is decided, so the node sets when it
-# runs, not what it decides.  The threshold families' LPs (sec6-2k's through
+# runs, not what it decides.  Its cycle rows hold for every solution: at
+# least one edge (two on such a cut, which a factor meets evenly), at most
+# floor(|C|/2) in mode hit-matching, where the shared edges are a matching
+# of C, and at most |C| - 1 in mode hit-and-cohit, where one stays out.
+# The threshold families' LPs (thm5's in every mode, sec6-2k's through
 # those cuts) decide at once, so an early pause saves the nodes before it;
 # at 32, some of the pipelines' small expansions, within the LP's size cap,
 # would pay for the LP too.
 _LP_NODE = 64
-# Bytes one search may spend on its memo of failed residual problems, keys
-# and hash table together; once they are used up it stops recording, and
-# goes on looking up.
-_MEMO_BYTES = 64 << 20
-
-
-def _memo_room(room: int, keys: int, memo: set[bytes]) -> int:
-    """Bytes left of a memo's room once its keys and its hash table's next
-    resize are paid for: CPython makes a set's table 4 times larger (2
-    times past 50000 entries), and copies it while the old one is alive."""
-    return room - keys - (3 if len(memo) > 50000 else 5) * sys.getsizeof(memo)
 
 
 class _DegreeSearch:
@@ -147,32 +137,6 @@ class _DegreeSearch:
     before OUT), which search() returns unless its LP stage decides first,
     has its IN edges first in every class, and every solution meets the
     parity rule, so neither rule changes a witness or a verdict.
-
-    search() also keeps a memo of failed residual problems, as component
-    caching does for #SAT (Bacchus, Dalmao and Pitassi, FOCS 2003).  When
-    the search branches on edge e, every edge below e is decided and
-    propagation has reached its fixpoint, so the rest of the search depends
-    only on its key:
-
-    - which edges are still undecided (all of them are >= e);
-    - deg_in of every vertex (a vertex with no undecided edge has exactly t);
-    - per prescribed cycle, whether it has an IN edge, and in hit-and-cohit
-      mode whether it has an OUT edge.
-
-    deg_und, cyc_und and set_und follow from the undecided edges.  set_odd
-    follows from deg_in: an IN edge inside a parity set S adds 2 to the sum
-    of deg_in over S and an IN cut edge adds 1, so the IN cut edges have the
-    parity of that sum.  Sibling and matching-neighbour constraints need no
-    entry: at the fixpoint no undecided edge has an IN cycle neighbour, an
-    OUT earlier sibling or an IN later sibling, so they only relate
-    undecided edges to each other.
-
-    A branch node whose IN and OUT sub-trees are both exhausted is recorded
-    under the key of its entry state, unless its sub-tree counted no further
-    node; a later node with a recorded key is skipped without counting a
-    node.  The memo only skips sub-trees already proven empty, so the first
-    solution and the verdict do not change, and no search counts more nodes
-    than without it.
     """
 
     def __init__(
@@ -189,15 +153,13 @@ class _DegreeSearch:
         self.G = G
         self.m = G.m
         self.t = t
-        self.lp = mode in ("none", "hit")
+        self.mode = mode
         self.matching = mode == "hit-matching"
         self.cohit = mode == "hit-and-cohit"
         self.clock = clock
         self.bridge_parity = bridge_parity
         self.state = bytearray(self.m)
-        # A bytearray goes into a memo key in one copy.  It holds 255 at
-        # most, and assign() takes a degree to t + 1 at most.
-        self.deg_in = bytearray(G.n) if t < 255 else [0] * G.n
+        self.deg_in = [0] * G.n
         self.deg_und = G.degrees()
         self.trail: list[int] = []
         self.cycles = cycles
@@ -401,19 +363,14 @@ class _DegreeSearch:
         """The first solution in search order with every forced edge IN, or
         None once the space is exhausted: branch on the lowest undecided
         edge, IN first.  Iterative, so the depth of the search does not
-        touch the interpreter stack.  Exhausted branch nodes go into the
-        memo while it fits in _MEMO_BYTES.  In modes none and hit, a search
-        still undecided at node _LP_NODE pauses there for the LP
-        relaxation, which refuses an LP over its size cap: a Farkas
-        certificate ends the search with None, an integral LP point that is
-        a solution is returned instead of the first one, and anything else
-        resumes the search where it paused."""
+        touch the interpreter stack.  A search still undecided at node
+        _LP_NODE pauses there for the LP relaxation, which refuses an LP
+        over its size cap: a Farkas certificate ends the search with None,
+        an integral LP point that is a solution is returned instead of the
+        first one, and anything else resumes the search where it paused."""
         forced = tuple(forced_in)
         self._build_pruning(forced)
-        # Keys hold the degrees only while they fit in a byte.
-        room = _MEMO_BYTES if isinstance(self.deg_in, bytearray) else 0
-        pause = _LP_NODE if self.lp else None
-        t = self.t
+        pause, t = _LP_NODE, self.t
         if any(d < t for d in self.deg_und) or (self.G.n * t) % 2 == 1:
             return None
         for e, val in self.roots + [(e, _IN) for e in forced]:
@@ -421,63 +378,28 @@ class _DegreeSearch:
                 return None
         state, trail, m, clock = self.state, self.trail, self.m, self.clock
         assign, undo_to, tick = self.assign, self.undo_to, clock.tick
-        deg_in, cyc_in, cyc_out, cohit = self.deg_in, self.cyc_in, self.cyc_out, self.cohit
-
-        def key(e: int) -> bytes:
-            """The residual problem of a branch on e, packed (see the class
-            docstring).  Its length fixes e, since the other parts have
-            fixed lengths."""
-            return b"".join((
-                state[e:].translate(_DECIDED),
-                deg_in,
-                bytes(map(bool, cyc_in)),
-                bytes(map(bool, cyc_out)) if cohit else b"",
-            ))
-
-        memo: set[bytes] = set()
-        keys = 0  # bytes held by the keys in memo
-        left = _memo_room(room, keys, memo)
-        recorded = bytearray(m)  # 1 where a memo key branches on that edge
-        # (edge, trail mark, node count after its tick, entry key or None,
-        # on its OUT branch)
-        open_nodes: list[tuple[int, int, int, Optional[bytes], bool]] = []
+        open_nodes: list[tuple[int, int]] = []  # (edge, trail mark) left to try OUT
         e = 0
         while True:
             e = state.find(_UNDEC, e)
             if e < 0:
                 return tuple(i for i in range(m) if state[i] == _IN)
-            # Keys are only built on edges with one recorded; None is never
-            # in the memo.
-            entry = key(e) if recorded[e] else None
-            if entry not in memo:
-                tick()
-                if clock.nodes == pause:
-                    decided, ids = relaxation.decide(
-                        self.G, t, self.cycles, forced, self.even_cuts)
-                    if decided:
-                        return ids
-                open_nodes.append((e, len(trail), clock.nodes, entry, False))
-                if assign(e, _IN):
-                    e += 1
-                    continue
+            tick()
+            if clock.nodes == pause:
+                decided, ids = relaxation.decide(
+                    self.G, t, self.cycles, forced, self.even_cuts, self.mode)
+                if decided:
+                    return ids
+            open_nodes.append((e, len(trail)))
+            if assign(e, _IN):
+                e += 1
+                continue
             while open_nodes:
-                e, mark, seen, entry, on_out = open_nodes.pop()
-                if not on_out:
-                    undo_to(mark)
-                    if assign(e, _OUT):
-                        open_nodes.append((e, mark, seen, entry, True))
-                        e += 1
-                        break
-                # Exhausted.  The next node's undo_to clears its trail too,
-                # unless its entry state is needed for its key.
-                if left > 0 and clock.nodes > seen:
-                    if entry is None:
-                        undo_to(mark)
-                        entry = key(e)
-                    memo.add(entry)
-                    recorded[e] = 1
-                    keys += sys.getsizeof(entry)
-                    left = _memo_room(room, keys, memo)
+                e, mark = open_nodes.pop()
+                undo_to(mark)
+                if assign(e, _OUT):
+                    e += 1
+                    break
             else:
                 return None
 
@@ -496,12 +418,14 @@ def t_factor_oracle(
     forced_edge if it is given.
 
     SAT returns a verified witness; UNSAT is a proof of nonexistence (the
-    space was exhausted, or in modes none and hit an exact Farkas
-    certificate holds); budget exhaustion is reported as its own status,
-    never as UNSAT.  The witness is the first one in search order when the
-    search ends within _LP_NODE nodes (64); past that node, in modes none
-    and hit, it may be an integral point of the LP relaxation instead, when
-    that LP is within its size cap.
+    space was exhausted, or an exact Farkas certificate holds for the LP
+    relaxation, whose rows every solution meets: at least one edge on each
+    cycle, and at most floor(|C|/2) edges of a cycle C in mode hit-matching
+    or |C| - 1 in mode hit-and-cohit); budget exhaustion is reported as its
+    own status, never as UNSAT.  The witness is the first one in search
+    order when the search ends within _LP_NODE nodes (64); past that node,
+    it may be an integral point of the LP relaxation instead, when that LP
+    is within its size cap.
 
     bridge_parity=False leaves G's bridges out of the cut-parity rule (see
     _DegreeSearch): the same verdict, perhaps in more nodes, and on a

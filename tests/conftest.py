@@ -352,12 +352,14 @@ def factor_instances(draw, max_m: int = 12):
 # ------------------------------------------------- LP references
 
 def reference_phase1(
-    cols: list[tuple[int, int, int]], upper: list[int], b: list[int], n: int,
+    cols: list[tuple[int, int, int]], upper: list[float], b: list[int], n: int,
     max_pivots: int,
 ) -> tuple[list[float], list[float]]:
     """relaxation._phase1 in its first form, which prices every column and
     runs the ratio test over every row at every pivot; relaxation._phase1
-    must follow its pivot path to the same floats."""
+    must follow its pivot path to the same floats.  upper caps cols, then
+    the surplus of each cycle row (rows n and up); inf leaves a surplus
+    uncapped."""
     inf, eps = float("inf"), 1e-9
     R, J = len(b), len(cols)
     S = R - n
@@ -365,7 +367,7 @@ def reference_phase1(
     rows += [(n + k, R, R) for k in range(S)] + [(i, R, R) for i in range(R)]
     coef = [1.0] * J + [-1.0] * S + [1.0] * R
     cost = [0.0] * (J + S) + [1.0] * R
-    cap = [float(c) for c in upper] + [inf] * (S + R)
+    cap = [float(c) for c in upper] + [inf] * R
     inv = [[1.0 if k == i else 0.0 for k in range(R + 1)] for i in range(R)]
     beta = [float(v) for v in b]
     basis = [J + S + i for i in range(R)]
@@ -423,14 +425,17 @@ def reference_phase1(
 
 
 def reference_certifies(
-    cols: list[tuple[int, int, int]], upper: list[int], b: list[int], y: list[float], n: int
+    cols: list[tuple[int, int, int]], upper: list[float], b: list[int], y: list[float], n: int
 ) -> bool:
-    """relaxation._certifies in its first form, summing Fractions."""
+    """relaxation._certifies in its first form, summing Fractions.  The dual
+    of a cycle row with an uncapped surplus (inf in upper, after the caps
+    of cols) is clamped at 0; a surplus capped at c adds c max(-y_C, 0)."""
     from fractions import Fraction
 
     ys = [Fraction(v).limit_denominator(64) for v in y]
-    ys[n:] = [max(v, Fraction(0)) for v in ys[n:]]
-    most = Fraction(0)
+    surplus = upper[len(cols):]
+    ys[n:] = [max(v, Fraction(0)) if c == float("inf") else v for v, c in zip(ys[n:], surplus)]
+    most = sum((c * -v for v, c in zip(ys[n:], surplus) if v < 0), Fraction(0))
     for (u, v, r), cap in zip(cols, upper):
         a = ys[u] + ys[v] + (ys[r] if r >= 0 else 0)
         if a > 0:

@@ -124,24 +124,43 @@ def test_criterion_2_budget_before_the_lp_stage(tmp_path, capsys):
     assert capsys.readouterr().out == f"UNSAT nodes={solver._LP_NODE}\n"
 
 
-# (thm5 r, t, mode, status, witness, nodes) of searches that run past the LP
-# stage's node in the modes it skips, as the search alone answers them.
-SKIPPED_BY_LP = [
-    (5, 2, "hit-matching", UNSAT, None, 1499),
-    (6, 2, "hit-and-cohit", SAT, (0, 1, 4, 5, 10, 14, 19, 23, 24, 28, 33, 34, 37, 38, 43, 47, 48,
-                                  52, 57, 61, 66, 67, 70, 71, 73, 76, 80, 83, 84, 87), 840),
-]
+# The searches of thm5 r = 5..9 at t = 2 and 3 in modes hit-matching and
+# hit-and-cohit that have a solution; the other eleven have none.  Without the
+# LP stage, r=7, t=2, hit-matching takes more than 60,000 nodes, and three of
+# the four r=8 searches run for more than 5 s.
+BOUNDED_ROWS_SAT = {
+    (5, 2, "hit-and-cohit"), (5, 3, "hit-and-cohit"), (6, 2, "hit-matching"),
+    (6, 2, "hit-and-cohit"), (6, 3, "hit-and-cohit"), (7, 3, "hit-and-cohit"),
+    (8, 3, "hit-and-cohit"), (9, 3, "hit-matching"), (9, 3, "hit-and-cohit"),
+}
 
 
-def test_criterion_2_lp_stage_skips_other_modes():
-    """hit-matching and hit-and-cohit searches never run the LP stage, and
-    keep the verdict, witness and node count of the search alone."""
-    with mock.patch.object(relaxation, "decide", side_effect=AssertionError("LP stage ran")):
-        for r, t, mode, status, witness, nodes in SKIPPED_BY_LP:
-            inst = gen_thm5(r)
-            v = t_factor_oracle(inst.graph, t, inst.cycles, mode)
-            got = (v.status, v.witness.edge_ids if v.witness else None, v.nodes_explored)
-            assert got == (status, witness, nodes), (r, t, mode)
+def test_criterion_2_lp_stage_decides_other_modes():
+    """hit-matching and hit-and-cohit searches on thm5 r = 5..9 at t = 2
+    and 3 are decided by the LP stage's node, with the rows x(C) <=
+    floor(|C|/2) and x(C) <= |C| - 1: every UNSAT there comes from the LP
+    stage's exact check, and every witness verifies in its mode."""
+    decide, answers = relaxation.decide, []
+
+    def spy(*args):
+        answers.append(decide(*args))
+        return answers[-1]
+
+    for r in range(5, 10):
+        inst = gen_thm5(r)
+        for t in (2, 3):
+            for mode in ("hit-matching", "hit-and-cohit"):
+                answers.clear()
+                with mock.patch.object(relaxation, "decide", spy):
+                    v = t_factor_oracle(inst.graph, t, inst.cycles, mode)
+                case = (r, t, mode)
+                assert v.status == (SAT if case in BOUNDED_ROWS_SAT else UNSAT), case
+                assert v.nodes_explored <= solver._LP_NODE, case
+                if v.status == UNSAT:
+                    assert answers == [(True, None)], case
+                else:
+                    assert verify_factor(inst.graph, v.witness, t), case
+                    assert verify_intersections(v.witness, inst.cycles, mode), case
 
 
 def test_criterion_3_unhittable_families(capsys):

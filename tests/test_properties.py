@@ -1,20 +1,15 @@
 """Property tests of the structural checks and the exact search against
 brute-force oracles, on random small multigraphs: disconnected ones,
 parallel edges, bridges, prescribed 2-cycles and n <= 2 included.  The
-search's memo of failed residual problems is checked against the same
-search with the memo off, on larger seeded instances, and the oracle's LP
-stage against the brute-force verdicts."""
+oracle's LP stage, with the cycle rows of every mode, is checked against
+the brute-force verdicts too."""
 
-import random
-import tracemalloc
-from collections import Counter
 from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cyclehit import (
     BUDGET_EXCEEDED,
-    BudgetExceededError,
     MODES,
     SAT,
     UNSAT,
@@ -22,7 +17,6 @@ from cyclehit import (
     GraphError,
     Multigraph,
     SearchBudget,
-    gen_sec6_2k,
     is_k_connected,
     pack_cycles,
     t_factor_oracle,
@@ -166,8 +160,8 @@ def test_search_matches_lex_first_oracle(instance):
 def test_lp_stage_is_sound(instance, data, pivots):
     """With the LP stage at the first node and its simplex stopped after a
     drawn number of pivots (None: as many as it takes), the oracle's verdict
-    in modes none and hit, for t <= 3, with and without a forced edge, is
-    the brute-force verdict, and every witness is a brute-force solution.
+    in every mode, for t <= 3, with and without a forced edge, is the
+    brute-force verdict, and every witness is a brute-force solution.
     Only the exact check proves UNSAT, whatever duals the simplex stopped
     at, and an LP point is a witness only once it checks out."""
     G, O = instance
@@ -176,7 +170,7 @@ def test_lp_stage_is_sound(instance, data, pivots):
     with mock.patch.object(solver, "_LP_NODE", 1), \
             mock.patch.object(relaxation, "_LP_MAX_PIVOTS", cap):
         for t in range(4):
-            for mode in ("none", "hit"):
+            for mode in MODES:
                 factors = naive_factors(G, t, O, mode)
                 for edge in edges:
                     want = [f for f in factors if edge is None or edge in f]
@@ -273,7 +267,7 @@ def test_propagation_reaches_its_fixpoint(instance, t, mode, data):
 @given(factor_instances())
 def test_pruning_never_costs_nodes(instance):
     """The oracle's pruned search branches at most as often as the same
-    search with no pruning rule, no memo and no LP stage (a node number is
+    search with no pruning rule and no LP stage (a node number is
     never 0), so a node budget the unpruned search fits in never turns
     into BUDGET_EXCEEDED."""
     G, O = instance
@@ -281,7 +275,7 @@ def test_pruning_never_costs_nodes(instance):
         for mode in MODES:
             clock = _Clock(None)
             with mock.patch.object(_DegreeSearch, "_build_pruning", lambda self, forced: None), \
-                    _memo_off(), mock.patch.object(solver, "_LP_NODE", 0):
+                    mock.patch.object(solver, "_LP_NODE", 0):
                 _DegreeSearch(G, t, tuple(O.cycles), mode, clock).search()
             budget = SearchBudget(max_nodes=max(clock.nodes, 1))
             v = t_factor_oracle(G, t, O, mode, budget=budget)
@@ -325,120 +319,11 @@ def test_bipartite_matching_matches_recursive_oracle(n, data):
         recursive_bipartite_perfect_matching(n, out_edges)
 
 
-def _memo_off():
-    return mock.patch.object(solver, "_MEMO_BYTES", 0)
-
-
-def _parts_instance(seed: int) -> tuple[Multigraph, CycleSet]:
-    """One to three dense random multigraphs on 4 to 7 vertices each (a
-    Hamiltonian cycle plus random edges with up to three parallel copies),
-    laid out one after the other in edge-id order, then up to two random
-    links, with most of a greedy cycle packing prescribed.  The search
-    completes the earlier parts in many ways that leave the same residual
-    problem in the later ones, which is what the memo catches."""
-    rng = random.Random(seed)
-    n, edges = 0, []
-    for _ in range(rng.randint(1, 3)):
-        k = rng.randint(4, 7)
-        part = [(n + i, n + (i + 1) % k) for i in range(k)]
-        for _ in range(rng.randint(k, 3 * k)):
-            u, v = rng.sample(range(k), 2)
-            part += [(n + u, n + v)] * rng.choice([1, 1, 2, 3])
-        rng.shuffle(part)
-        edges += part
-        n += k
-    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))]
-    G = Multigraph(n, edges)
-    cycles = [cyc for cyc in pack_cycles(G, parity=None, max_len=6).cycles if rng.random() < 0.8]
-    return G, CycleSet(G, cycles)
-
-
-MEMO_BUDGET = SearchBudget(max_nodes=1_000)
-
-
-def _engine_search(G, t, O, mode, forced=()):
-    """The engine's first solution (None if UNSAT, BUDGET_EXCEEDED past
-    MEMO_BUDGET) and its node count, with no LP stage (a node number is
-    never 0), so that only the memo differs between two runs."""
-    clock = _Clock(MEMO_BUDGET)
-    try:
-        with mock.patch.object(solver, "_LP_NODE", 0):
-            ids = _DegreeSearch(G, t, tuple(O.cycles), mode, clock).search(forced_in=forced)
-    except BudgetExceededError:
-        ids = BUDGET_EXCEEDED
-    return ids, clock.nodes
-
-
-def test_memo_keeps_verdicts_and_witnesses():
-    """On 40 seeded part instances, for t <= 4 in every mode, and with a
-    forced edge: the search with its memo returns the memo-off search's
-    status and witness whenever that one finishes, and never counts more
-    nodes.  Only a memo hit skips a node, so the searches that count fewer
-    nodes are the ones that hit."""
-    hits: Counter = Counter()
-    for seed in range(40):
-        G, O = _parts_instance(seed)
-        forced = random.Random(seed).randrange(G.m)
-        for t in range(1, 5):
-            for mode in MODES:
-                for edges in ((), (forced,)):
-                    on = _engine_search(G, t, O, mode, edges)
-                    with _memo_off():
-                        off = _engine_search(G, t, O, mode, edges)
-                    if off[0] != BUDGET_EXCEEDED:
-                        assert on[0] == off[0], (seed, t, mode, edges)
-                    assert on[1] <= off[1], (seed, t, mode, edges)
-                    hits[mode, bool(edges)] += on[1] < off[1]
-    assert all(hits[mode, forced] for mode in MODES for forced in (False, True)), hits
-
-
-def test_memo_byte_limit_changes_no_verdict():
-    """A memo that fills after a few keys still returns every verdict and
-    witness of the memo-off search, through t_factor_oracle."""
-    for seed in range(25):
-        G, O = _parts_instance(seed)
-        for t in range(1, 5):
-            for mode in MODES:
-                with _memo_off():
-                    off = t_factor_oracle(G, t, O, mode, budget=MEMO_BUDGET)
-                # The limit also pays for the hash table: about four keys.
-                with mock.patch.object(solver, "_MEMO_BYTES", 1500):
-                    tiny = t_factor_oracle(G, t, O, mode, budget=MEMO_BUDGET)
-                if off.status != BUDGET_EXCEEDED:
-                    assert _verdict(tiny) == _verdict(off), (seed, t, mode)
-                assert tiny.nodes_explored <= off.nodes_explored, (seed, t, mode)
-
-
-def test_memo_stays_within_its_byte_limit():
-    """_MEMO_BYTES bounds the keys and the hash table of the memo, the
-    table's next resize included: the search's peak traced memory exceeds
-    that of the memo-off search by at most the limit.  sec6-2k k=5 at t=4
-    fills a memo of these sizes in mode hit-and-cohit, which has no LP
-    stage; in mode hit, the LP stage ends that search at node 64."""
-    inst = gen_sec6_2k(5)
-
-    def peak(limit: int):
-        with mock.patch.object(solver, "_MEMO_BYTES", limit):
-            tracemalloc.start()
-            try:
-                verdict = t_factor_oracle(inst.graph, 4, inst.cycles, "hit-and-cohit")
-                return verdict, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-    off, off_peak = peak(0)
-    assert off.status == UNSAT
-    for limit in (1 << 13, 1 << 14):
-        verdict, on_peak = peak(limit)
-        assert verdict.status == UNSAT
-        assert verdict.nodes_explored < off.nodes_explored, limit  # it recorded
-        assert on_peak - off_peak <= limit, limit
-
-
 def test_memo_key_keeps_the_cohit_flags():
     """Two residual problems that differ only in whether cycle (4, 9, 5)
     already has an OUT edge: the first one, which still needs one, fails,
-    and a key without the cohit flags would skip the second one too."""
+    and the search must still find the solution in the second one, as a
+    search that forgot the cohit flags between the two would not."""
     G = Multigraph(4, [(3, 1), (2, 3), (1, 2), (3, 2), (1, 2), (3, 1), (0, 1), (3, 0), (0, 2),
                        (3, 2), (1, 0)])
     O = CycleSet(G, [(6, 0, 1, 8), (4, 9, 5)])

@@ -3,7 +3,8 @@ conftest: on LPs captured from relaxation.decide, _phase1 must stop at the
 same floats under every pivot cap, and the integer _certifies must give the
 Fraction check's answer on the duals it stopped at.  Also the size cap of
 decide: which LPs it refuses, and that the largest threshold LP passes; and
-the rows of 2 that the search's even parity sets give, against the brute
+the rows of 2 that the search's even parity sets give, with and without the
+upper bounds of modes hit-matching and hit-and-cohit, against the brute
 force."""
 
 import sys
@@ -12,7 +13,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from cyclehit import (
-    CycleSet, Factor, Multigraph, gen_sec6_2k, gen_thm4, gen_thm5, pack_cycles,
+    MODES, CycleSet, Factor, Multigraph, gen_sec6_2k, gen_thm4, gen_thm5, pack_cycles,
     random_regular_multigraph, relaxation, verify_factor, verify_intersections,
 )
 from cyclehit.solver import _Clock, _DegreeSearch
@@ -28,14 +29,14 @@ def _even_cuts(G, t, cycles, forced) -> list[tuple[int, ...]]:
     return search.even_cuts
 
 
-def _decide(G, t, cycles, forced):
-    return relaxation.decide(G, t, cycles, forced, _even_cuts(G, t, cycles, forced))
+def _decide(G, t, cycles, forced, mode="hit"):
+    return relaxation.decide(G, t, cycles, forced, _even_cuts(G, t, cycles, forced), mode)
 
 
 def _captured(calls) -> list[tuple]:
     """The arguments of every _phase1 call that relaxation.decide makes on
-    calls, a list of (G, t, cycles, forced), given the search's even cuts,
-    with its size cap lifted."""
+    calls, a list of (G, t, cycles, forced, mode), given the search's even
+    cuts, with its size cap lifted."""
     lps = []
     solve = relaxation._phase1
 
@@ -45,8 +46,8 @@ def _captured(calls) -> list[tuple]:
 
     with mock.patch.object(relaxation, "_phase1", record), \
             mock.patch.object(relaxation, "_LP_MAX_CELLS", sys.maxsize):
-        for G, t, cycles, forced in calls:
-            _decide(G, t, cycles, forced)
+        for call in calls:
+            _decide(*call)
     return lps
 
 
@@ -74,14 +75,18 @@ def _threshold_instances():
 
 
 def test_phase1_keeps_its_pivot_path_on_threshold_lps():
+    """In the three hitting modes; in modes hit-matching and hit-and-cohit,
+    each of the 468 cycle rows has its surplus capped."""
     calls = [
-        (inst.graph, t, tuple(inst.cycles.cycles), forced)
+        (inst.graph, t, tuple(inst.cycles.cycles), forced, mode)
         for inst, t in _threshold_instances()
         for forced in ((), (0,))
+        for mode in ("hit", "hit-matching", "hit-and-cohit")
     ]
-    assert len(calls) == 68
+    assert len(calls) == 204
     lps = _captured(calls)
-    assert len(lps) == 68
+    assert len(lps) == 204
+    assert sum(c < float("inf") for cols, upper, *_ in lps for c in upper[len(cols):]) == 468
     _assert_same_path(lps)
 
 
@@ -92,7 +97,7 @@ def test_phase1_keeps_its_pivot_path_on_random_regular_lps():
     for n, r, t in ((170, 3, 1), (100, 3, 1), (60, 4, 2), (40, 6, 2)):
         for seed in (1, 4):
             G = random_regular_multigraph(n, r, seed)
-            calls.append((G, t, tuple(pack_cycles(G).cycles), ()))
+            calls.append((G, t, tuple(pack_cycles(G).cycles), (), "hit"))
     lps = _captured(calls)
     assert max(len(cols) for cols, *_ in lps) == 255
     _assert_same_path(lps)
@@ -126,35 +131,41 @@ def test_decide_settles_thm5_r9_under_its_size_cap():
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(factor_instances(), st.data())
-def test_phase1_keeps_its_pivot_path_on_random_lps(instance, data):
+@given(factor_instances(), st.sampled_from(MODES), st.data())
+def test_phase1_keeps_its_pivot_path_on_random_lps(instance, mode, data):
     G, O = instance
     forced = ((), (data.draw(st.integers(0, G.m - 1)),)) if G.m else ((),)
     _assert_same_path(_captured(
-        [(G, t, tuple(O.cycles), edges) for t in range(4) for edges in forced]
+        [(G, t, tuple(O.cycles), edges, mode) for t in range(4) for edges in forced]
     ))
 
 
 def test_decide_reads_even_cuts_as_the_brute_force_does():
     """Cycles that are exactly the cut of an even parity set: the two
     4-cycles of sec6-2k k=2, each the cut of a vertex pair, and a digon
-    that is the cut of a bridge side of 3 vertices.  At every t and through
-    every edge, decide gives a certificate only where the brute force finds
-    no solution, and a point only where it is one.  Without the rows of 2,
+    that is the cut of a bridge side of 3 vertices.  In mode hit, and in
+    modes hit-matching and hit-and-cohit, whose rows are also capped at
+    floor(|C|/2) and |C| - 1 edges, at every t and through every edge,
+    decide gives a certificate only where the brute force finds no
+    solution, and a point only where it is one.  Without the rows of 2,
     the uniform point of sec6-2k at t = 1 decides nothing, and neither does
-    the digon instance's fractional point at t = 2."""
+    the digon instance's fractional point at t = 2; with them, the digon's
+    row in the capped modes asks for 2 edges and allows 1."""
     sec6 = gen_sec6_2k(2)
     bridged = Multigraph(6, [(0, 3), (0, 3), (0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0),
                              (3, 4), (4, 5), (4, 5), (5, 3)])
-    cases = [(sec6.graph, sec6.cycles, 1, (True, None)),
-             (bridged, CycleSet(bridged, [(0, 1)]), 2, (True, (0, 1, 4, 5, 9, 10)))]
-    for G, O, t0, settled in cases:
+    digon = CycleSet(bridged, [(0, 1)])
+    cases = [(sec6.graph, sec6.cycles, mode, 1, (True, None))
+             for mode in ("hit", "hit-matching", "hit-and-cohit")]
+    cases += [(bridged, digon, "hit", 2, (True, (0, 1, 4, 5, 9, 10)))]
+    cases += [(bridged, digon, mode, 2, (True, None)) for mode in ("hit-matching", "hit-and-cohit")]
+    for G, O, mode, t0, settled in cases:
         cycles = tuple(O.cycles)
-        assert _decide(G, t0, cycles, ()) == settled
-        assert relaxation.decide(G, t0, cycles, (), []) == (False, None)
+        assert _decide(G, t0, cycles, (), mode) == settled, mode
+        assert relaxation.decide(G, t0, cycles, (), [], mode) == (False, None), mode
         for t in range(5):
-            factors = naive_factors(G, t, O, "hit")
+            factors = naive_factors(G, t, O, mode)
             for forced in [()] + [(e,) for e in range(G.m)]:
                 want = [f for f in factors if set(forced) <= set(f)]
-                decided, ids = _decide(G, t, cycles, forced)
-                assert not decided or (ids in want if ids else not want), (t, forced)
+                decided, ids = _decide(G, t, cycles, forced, mode)
+                assert not decided or (ids in want if ids else not want), (mode, t, forced)

@@ -116,18 +116,20 @@ def test_constrained_perfect_matching_forced_edge():
         assert e in v.witness.edge_ids
 
 
-def test_lp_stage_runs_in_modes_none_and_hit_only():
+def test_lp_stage_runs_in_every_mode():
     # thm5 r=6 at t=1 is UNSAT in every hitting mode, and each search is
-    # still undecided at node _LP_NODE.  Only mode hit stops there for the
-    # LP stage, whose certificate ends it.
+    # still undecided at node _LP_NODE, where the LP stage's certificate
+    # ends it: with only x(C) >= 1 in mode hit, with x(C) <= floor(|C|/2)
+    # too in mode hit-matching and with x(C) <= |C| - 1 in hit-and-cohit.
+    # The search alone takes 753 nodes in each.
     inst = gen_thm5(6)
-    runs = [(inst.graph, 1, inst.cycles, "hit", 1, solver._LP_NODE),
-            (inst.graph, 1, inst.cycles, "hit-matching", 0, 317),
-            (inst.graph, 1, inst.cycles, "hit-and-cohit", 0, 317)]
+    runs = [(inst.graph, 1, inst.cycles, mode, 1, solver._LP_NODE)
+            for mode in ("hit", "hit-matching", "hit-and-cohit")]
     # Two disjoint K7s have no 3-factor, but the LP relaxation has a point
-    # (1/2 on every edge), so in mode none the search resumes after it.
+    # (1/2 on every edge), so in mode none the search resumes after it, and
+    # exhausts the space at node 1613.
     K7 = [(u, v) for u in range(7) for v in range(u + 1, 7)]
-    runs.append((Multigraph(14, K7 + [(u + 7, v + 7) for u, v in K7]), 3, None, "none", 1, 434))
+    runs.append((Multigraph(14, K7 + [(u + 7, v + 7) for u, v in K7]), 3, None, "none", 1, 1613))
     for G, t, O, mode, calls, nodes in runs:
         with mock.patch.object(relaxation, "decide", wraps=relaxation.decide) as decide:
             v = t_factor_oracle(G, t, O, mode)
@@ -199,7 +201,7 @@ def test_search_is_deterministic():
 
 def test_backtracking_with_degrees_past_a_byte():
     """With t = 256 a vertex can end with 256 IN edges, which a byte cannot
-    hold, so the search must not pack degrees into memo keys.  Vertices 0
+    hold, so the search must not keep its degrees in bytes.  Vertices 0
     and 1 are fully IN from the start; the 129 prescribed 2-cycles on 2-3
     allow at most 129 of its 258 edges IN, which the search has to branch
     to find out."""
