@@ -19,6 +19,7 @@ __all__ = [
     "MODES",
     "verify_factor",
     "verify_intersections",
+    "check_factor",
     "two_factorization",
     "parse_factor",
     "serialize_factor",
@@ -75,6 +76,23 @@ def verify_intersections(
         raise GraphError("factor and cycle set have different hosts")
     fset = F.edge_set()
     return mode == "none" or all(meets_cycle(F.host, fset, cyc, mode) for cyc in O.cycles)
+
+
+def check_factor(
+    F: Factor, O: Optional[CycleSet] = None, mode: str = "none", forced: Iterable[int] = ()
+) -> Factor:
+    """F, once checked as a witness: a t-factor of its host, through every
+    forced edge, that meets every cycle of O as the mode asks.  A witness
+    that fails is a bug in what built it, so where the verify_* functions
+    answer False this raises AssertionError naming the first failure."""
+    if not verify_factor(F.host, F, F.t):
+        raise AssertionError(f"witness is not a {F.t}-factor")
+    missing = set(forced) - F.edge_set()
+    if missing:
+        raise AssertionError(f"witness misses forced edge {min(missing)}")
+    if O is not None and not verify_intersections(F, O, mode):
+        raise AssertionError(f"witness violates mode {mode}")
+    return F
 
 
 def meets_cycle(G: Multigraph, ids: set[int], cycle: tuple[int, ...], mode: str) -> bool:
@@ -168,15 +186,12 @@ def _two_factors(G: Multigraph) -> Iterator[Factor]:
     for _ in range(k):
         match_head = _bipartite_perfect_matching(G.n, remaining)
         if match_head is None or any(m == -1 for m in match_head):
-            raise GraphError("regular bipartite peeling failed")  # unreachable
+            raise AssertionError("regular bipartite peeling failed")  # unreachable
         chosen = sorted(set(match_head))
         chosen_set = set(chosen)
         for v in range(G.n):
             remaining[v] = [(e, h) for e, h in remaining[v] if e not in chosen_set]
-        F = Factor(G, 2, tuple(chosen))
-        if not verify_factor(G, F, 2):
-            raise GraphError("peeled edge set is not a 2-factor")  # unreachable
-        yield F
+        yield check_factor(Factor(G, 2, tuple(chosen)))
 
 
 def parse_factor(text: str | bytes, host: Multigraph) -> Factor:

@@ -215,19 +215,20 @@ def serialize_multigraph(G: Multigraph, comments: Iterable[str] = ()) -> str:
 
 
 def vertex_connectivity(G: Multigraph) -> int:
-    """Exact vertex connectivity of the underlying simple graph.
-
-    Disconnected graphs give 0; graphs with no vertex cut give n-1.
-    Parallel edges do not affect the result.
+    """Exact vertex connectivity of the underlying simple graph: 0 when it
+    is disconnected, n-1 when it has no vertex cut.  It never exceeds the
+    minimum degree (Whitney, Amer. J. Math. 54 (1932)), which parallel edges
+    only raise, so the largest k <= 3 with is_k_connected(G, k) is the
+    answer unless G is 3-connected with minimum degree >= 4, the one case
+    that goes on to networkx.
     """
-    if G.n <= 1:
-        return 0
-    if not G.is_connected():
-        return 0
+    k = next((k - 1 for k in (1, 2, 3) if not is_k_connected(G, k)), 3)
+    if k < 3 or min(G.degrees()) <= 3:
+        return k
     adj = {(min(u, v), max(u, v)) for u, v in G.edges}
     if len(adj) == G.n * (G.n - 1) // 2:
         return G.n - 1
-    import networkx as nx  # only `cyclehit check` needs it
+    import networkx as nx  # only 3-connected graphs of minimum degree >= 4 need it
 
     H = nx.Graph()
     H.add_nodes_from(range(G.n))

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .cycles import CycleSet
 from .expansion import cubic_expansion, split_factor
-from .factors import Factor, _two_factors, verify_factor, verify_intersections
+from .factors import Factor, _two_factors, check_factor, verify_factor
 from .gadgets import GadgetTree, build_even_leaf_tree, build_gadget_tree
 from .multigraph import GraphError, Multigraph, is_k_connected
 from .orientation import Orientation, balanced_orientation, verify_orientation
@@ -117,14 +117,7 @@ def third_pipeline(
         _require(0 <= e < G.m, f"edge id {e} out of range")
     _check_common(G, O, 3 * t, checked, arbitrary)
     ids, nodes = _match_expansion(G, O, build_gadget_tree(t), budget, e, "expanded matching instance")
-    F = Factor(G, t, ids)
-    checks = {
-        "t_factor": verify_factor(G, F, t),
-        "forced_edge": e is None or e in F.edge_ids,
-        "hit_matching": verify_intersections(F, O, "hit-matching"),
-    }
-    if not all(checks.values()):
-        raise AssertionError(f"pipeline postcondition failed: {checks}")
+    F = check_factor(Factor(G, t, ids), O, "hit-matching", () if e is None else (e,))
     return PipelineReport(factor=F, nodes=nodes)
 
 
@@ -181,25 +174,21 @@ def half_pipeline(
     cycle and leaving at least one edge of each uncovered; the inputs are
     those of orient_even_indegree."""
     D, nodes = _orient(G, O, t, budget, checked, arbitrary)
-    F = split_factor(G, D, O, t)
-    checks = {
-        "t_factor": verify_factor(G, F, t),
-        "hit_and_cohit": verify_intersections(F, O, "hit-and-cohit"),
-    }
-    if not all(checks.values()):
-        raise AssertionError(f"pipeline postcondition failed: {checks}")
+    F = check_factor(split_factor(G, D, O, t), O, "hit-and-cohit")
     return PipelineReport(factor=F, nodes=nodes, orientation=D)
 
 
 def extend_factor(G: Multigraph, F: Factor, l: int) -> Factor:
-    """Grow a t-factor to an l-factor containing it, for any l of the same
-    parity with t <= l <= r, by adding 2-factors of the complement.  At
-    l = r these are all of them, whose union is the complement, so the
-    result is every edge and no 2-factor is peeled."""
+    """Grow a t-factor of an r-regular graph to an l-factor containing it,
+    for any l of the same parity with t <= l <= r, by adding 2-factors of
+    the (r - t)-regular complement, which Petersen's 2-factor theorem splits
+    only when r - t is even.  At l = r the result is every edge, the union
+    of all those 2-factors, so none is peeled."""
     r = G.is_regular()
     _require(r is not None, "graph must be regular")
     _require(F.host == G, "factor does not belong to this graph")
     _require(verify_factor(G, F, F.t), "input is not a valid t-factor")
+    _require((r - F.t) % 2 == 0, f"r - t must be even to extend, got r={r} and t={F.t}")
     _require(
         F.t <= l <= r and (l - F.t) % 2 == 0,
         f"l must lie in {{t, t+2, ..., {r}}}, got l={l}",
@@ -215,7 +204,4 @@ def extend_factor(G: Multigraph, F: Factor, l: int) -> Factor:
     extra: list[int] = []
     for two_factor in islice(_two_factors(rest), needed):
         extra.extend(rest_ids[e] for e in two_factor.edge_ids)
-    result = Factor(G, l, tuple(sorted(fset | set(extra))))
-    if not verify_factor(G, result, l):
-        raise AssertionError("extension postcondition failed")
-    return result
+    return check_factor(Factor(G, l, tuple(sorted(fset | set(extra)))))

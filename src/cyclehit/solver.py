@@ -11,15 +11,12 @@ Tutte's f-factor theorem fixes.  Neither rule changes a verdict or a
 witness; they only shrink the search.
 
 A search still undecided at node _LP_NODE (64) pauses there for the LP
-relaxation (see relaxation), which runs only on an LP within its size cap.
-Each cycle row asks for at least one edge, two on a cycle that is the whole
-cut of a parity set owing even parity, and for at most floor(|C|/2) edges
-of the cycle C in mode hit-matching (the shared edges form a matching of
-C) or |C| - 1 in mode hit-and-cohit (one edge stays out); every solution
-meets these rows.  An exact Farkas certificate ends the search UNSAT, an
-integral LP point that checks out is its witness, and otherwise the search
-resumes where it paused.  So the witness is the first solution in search
-order only when the search ends within _LP_NODE nodes.
+relaxation, whose rows every solution meets (the relaxation module sets
+them out), and which runs only on an LP within its size cap.  An exact
+Farkas certificate ends the search UNSAT, an integral LP point that checks
+out is its witness, and otherwise the search resumes where it paused.  So
+the witness is the first solution in search order only when the search
+ends within _LP_NODE nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import Iterable, Optional
 
 from . import relaxation
 from .cycles import CycleSet
-from .factors import MODES, Factor, verify_factor, verify_intersections
+from .factors import MODES, Factor, check_factor
 from .multigraph import GraphError, Multigraph, bridge_sides
 
 __all__ = [
@@ -101,14 +98,11 @@ class _Clock:
 
 
 _UNDEC, _IN, _OUT = 0, 1, 2
-# Node at which a search pauses for the LP relaxation, in every mode; a
-# search that ends by then is untouched.  The LP reads only the graph, t,
-# the mode, the cycles, the forced edges and the cuts of the parity sets
-# that owe even parity before any edge is decided, so the node sets when it
-# runs, not what it decides.  Its cycle rows hold for every solution: at
-# least one edge (two on such a cut, which a factor meets evenly), at most
-# floor(|C|/2) in mode hit-matching, where the shared edges are a matching
-# of C, and at most |C| - 1 in mode hit-and-cohit, where one stays out.
+# Node at which a search pauses for the LP relaxation (whose rows the
+# relaxation module sets out), in every mode; a search that ends by then is
+# untouched.  The LP reads only the graph, t, the mode, the cycles, the
+# forced edges and the cuts of the parity sets that owe even parity before
+# any edge is decided, so the node sets when it runs, not what it decides.
 # The threshold families' LPs (thm5's in every mode, sec6-2k's through
 # those cuts) decide at once, so an early pause saves the nodes before it;
 # at 32, some of the pipelines' small expansions, within the LP's size cap,
@@ -417,12 +411,11 @@ def t_factor_oracle(
     """Exact backtracking oracle for t-factors meeting a cycle set, through
     forced_edge if it is given.
 
-    SAT returns a verified witness; UNSAT is a proof of nonexistence (the
-    space was exhausted, or an exact Farkas certificate holds for the LP
-    relaxation, whose rows every solution meets: at least one edge on each
-    cycle, and at most floor(|C|/2) edges of a cycle C in mode hit-matching
-    or |C| - 1 in mode hit-and-cohit); budget exhaustion is reported as its
-    own status, never as UNSAT.  The witness is the first one in search
+    SAT returns a witness that check_factor has passed; UNSAT is a proof of
+    nonexistence (the space was exhausted, or an exact Farkas certificate
+    holds for the LP relaxation, whose rows every solution meets, as the
+    relaxation module sets out); budget exhaustion is reported as its own
+    status, never as UNSAT.  The witness is the first one in search
     order when the search ends within _LP_NODE nodes (64); past that node,
     it may be an integral point of the LP relaxation instead, when that LP
     is within its size cap.
@@ -450,9 +443,4 @@ def t_factor_oracle(
         return OracleVerdict(BUDGET_EXCEEDED, None, clock.nodes)
     if ids is None:
         return OracleVerdict(UNSAT, None, clock.nodes)
-    F = Factor(G, t, ids)
-    if not verify_factor(G, F, t) or not F.edge_set().issuperset(forced):
-        raise AssertionError("search witness is not a t-factor through the forced edge")
-    if O is not None and mode != "none" and not verify_intersections(F, O, mode):
-        raise AssertionError("search witness violates the intersection mode")
-    return OracleVerdict(SAT, F, clock.nodes)
+    return OracleVerdict(SAT, check_factor(Factor(G, t, ids), O, mode, forced), clock.nodes)

@@ -1,4 +1,5 @@
 import sys
+from unittest import mock
 
 import pytest
 
@@ -7,12 +8,14 @@ from cyclehit import (
     Factor,
     GraphError,
     Multigraph,
+    check_factor,
     gen_thm5,
     t_factor_oracle,
     two_factorization,
     verify_factor,
     verify_intersections,
 )
+from cyclehit import factors
 from cyclehit.factors import _bipartite_perfect_matching
 from conftest import doubled_triangle, k4
 
@@ -76,6 +79,32 @@ def test_two_factorization_requires_even_regularity():
         two_factorization(k4())
     with pytest.raises(GraphError):
         two_factorization(Multigraph(3, [(0, 1), (1, 2)]))
+
+
+def test_failed_peel_is_an_internal_error():
+    """Peeling a regular bipartite graph cannot fail, so a failure is a
+    bug: AssertionError, which the CLI reports as exit 4, not GraphError."""
+    with mock.patch.object(factors, "_bipartite_perfect_matching", return_value=None):
+        with pytest.raises(AssertionError, match="peeling failed"):
+            two_factorization(doubled_triangle())
+
+
+def test_check_factor_names_the_first_failure():
+    G = k4()
+    F = Factor(G, 1, (0, 5))  # edges 0-1 and 2-3
+    triangle = CycleSet(G, [(0, 3, 1)])
+    square = CycleSet(G, [(1, 3, 4, 2)])  # 0-2-1-3, which F misses
+    assert check_factor(F, triangle, "hit-matching", forced=(0, 5)) is F
+    assert check_factor(F, square) is F  # mode none asks nothing of the cycles
+    failures = [
+        (Factor(G, 2, (0, 5)), {}, "not a 2-factor"),
+        (F, {"forced": (5, 3, 1)}, "misses forced edge 1"),
+        (F, {"O": square, "mode": "hit"}, "violates mode hit"),
+        (Factor(G, 2, (0, 1)), {"O": square, "mode": "hit"}, "not a 2-factor"),
+    ]
+    for factor, kwargs, message in failures:
+        with pytest.raises(AssertionError, match=message):
+            check_factor(factor, **kwargs)
 
 
 def test_two_factorization_partitions_thm5():

@@ -1,5 +1,6 @@
 import random
 
+import networkx
 import pytest
 
 from cyclehit import (
@@ -59,6 +60,32 @@ def test_connectivity_matches_naive_oracle():
               Multigraph(1, []), Multigraph(5, [(i, (i + 1) % 5) for i in range(5)])]
     for G in graphs:
         assert vertex_connectivity(G) == naive_vertex_connectivity(G)
+
+
+def test_connectivity_needs_no_networkx_below_3_or_at_degree_3(monkeypatch):
+    """Connectivity never exceeds the minimum degree, so is_k_connected
+    answers for cubic graphs and for graphs whose connectivity is at most
+    2, whatever their degrees."""
+    def exact_connectivity_called(*args, **kwargs):
+        raise RuntimeError("networkx computed the connectivity")
+
+    monkeypatch.setattr(networkx, "node_connectivity", exact_connectivity_called)
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    rng = random.Random(9)
+    graphs = [
+        Multigraph(0, []), Multigraph(1, []), Multigraph(4, [(0, 1), (2, 3)]),
+        k4(), c4(), bowtie(), doubled_triangle(), petersen(), prism(3), prism(5),
+        Multigraph(9, k5 + [(u + 4, v + 4) for u, v in k5]),  # two K5s sharing vertex 4
+        Multigraph(5, [(i, (i + 1) % 5) for i in range(5)] * 2),  # 4-regular, connectivity 2
+    ] + [random_regular_multigraph(10, r, rng.randrange(2**31), min_connectivity=0)
+         for r in (3, 4) for _ in range(12)]
+    kappas = []
+    for G in graphs:
+        kappa = naive_vertex_connectivity(G)
+        if kappa < 3 or min(G.degrees()) <= 3:
+            kappas.append(kappa)
+            assert vertex_connectivity(G) == kappa, G.edges
+    assert set(kappas) == {0, 1, 2, 3}
 
 
 def test_parallel_edges_do_not_change_connectivity():

@@ -174,6 +174,12 @@ def test_extend_factor_validation():
     F3 = extend_factor(G, F, 3)
     assert verify_factor(G, F3, 3)
     assert set(F.edge_ids) <= set(F3.edge_ids)
+    # A 2-factor of a 5-regular graph leaves a 3-regular complement, which
+    # has no 2-factorization: refused for r - t, not for the complement.
+    G5 = random_regular_multigraph(10, 5, 3)
+    F2 = t_factor_oracle(G5, 2).witness
+    with pytest.raises(GraphError, match="^r - t must be even to extend, got r=5 and t=2$"):
+        extend_factor(G5, F2, 4)
 
 
 def test_third_arbitrary_pipeline_k4():
@@ -228,7 +234,7 @@ def test_checked_pipelines_never_compute_exact_connectivity(monkeypatch):
 
     monkeypatch.setattr(networkx, "node_connectivity", exact_connectivity_called)
     with pytest.raises(RuntimeError):
-        vertex_connectivity(petersen())  # the guard is live
+        vertex_connectivity(gen_thm5(4).graph)  # the guard is live: 4-connected, 4-regular
 
     rep = third_pipeline(petersen(), petersen_cycles(petersen()), 0, 1)
     assert 0 in rep.factor.edge_ids

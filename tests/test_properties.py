@@ -20,15 +20,14 @@ from cyclehit import (
     is_k_connected,
     pack_cycles,
     t_factor_oracle,
-    vertex_connectivity,
 )
 from cyclehit import relaxation, solver
 from cyclehit.factors import _bipartite_perfect_matching
 from cyclehit.multigraph import bridge_sides
 from cyclehit.solver import _IN, _OUT, _UNDEC, _Clock, _DegreeSearch
 from conftest import (
-    factor_instances, naive_factors, recursive_bipartite_perfect_matching,
-    reference_components, shuffled,
+    factor_instances, naive_factors, naive_vertex_connectivity,
+    recursive_bipartite_perfect_matching, reference_components, shuffled,
 )
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -69,7 +68,7 @@ def _outcome(fn, G):
 @PROPERTY
 @given(multigraphs())
 def test_is_k_connected_matches_exact_connectivity(G):
-    kappa = vertex_connectivity(G)
+    kappa = naive_vertex_connectivity(G)
     for k in range(5):
         assert is_k_connected(G, k) == (kappa >= k), (k, kappa)
 
@@ -319,7 +318,7 @@ def test_bipartite_matching_matches_recursive_oracle(n, data):
         recursive_bipartite_perfect_matching(n, out_edges)
 
 
-def test_memo_key_keeps_the_cohit_flags():
+def test_cohit_search_tells_apart_residuals_that_differ_in_an_out_edge():
     """Two residual problems that differ only in whether cycle (4, 9, 5)
     already has an OUT edge: the first one, which still needs one, fails,
     and the search must still find the solution in the second one, as a

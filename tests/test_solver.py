@@ -107,7 +107,7 @@ def test_oracle_input_checks():
             t_factor_oracle(G, t, O, mode)
 
 
-def test_constrained_perfect_matching_forced_edge():
+def test_oracle_finds_a_hitting_perfect_matching_through_every_forced_edge():
     G = petersen()
     O = petersen_cycles(G)
     for e in range(G.m):
