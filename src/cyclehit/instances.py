@@ -25,6 +25,9 @@ def random_regular_multigraph(
 ) -> Multigraph:
     """Pairing-model r-regular multigraph on n vertices, rejection-sampled
     until it is loop-free and meets the connectivity requirement."""
+    for name, value in (("n", n), ("r", r)):
+        if value < 0:
+            raise GraphError(f"{name} must be non-negative, got {value}")
     if n * r % 2 == 1:
         raise GraphError("n*r must be even")
     if min_connectivity > 0 and min(r, n - 1) < min_connectivity:

@@ -2,13 +2,15 @@
 constraints, optionally through a forced edge.
 
 All searches branch on the lowest undecided edge id, include-branch first,
-and propagate forced decisions (degree bounds and per-cycle feasibility), so
-verdicts and witnesses are deterministic.  The search also uses two more
-sound rules: parallel edges off the prescribed cycles are interchangeable,
-and every edge cut around a vertex pair joined by parallel edges, or across
-a bridge of the simple graph underneath, meets a factor with the parity
-Tutte's f-factor theorem fixes.  Neither rule changes a verdict or a
-witness; they only shrink the search.
+and propagate forced decisions (degree bounds and one rule on edge sets:
+some edge of the set takes a given value), so verdicts and witnesses are
+deterministic.  Each mode is the sets its cycles give (see _DegreeSearch).
+The search also uses two more sound rules: parallel edges off the
+prescribed cycles are interchangeable, and every edge cut around a vertex
+pair joined by parallel edges, or across a bridge of the simple graph
+underneath, meets a factor with the parity Tutte's f-factor theorem fixes;
+these cuts are parity sets of the same engine.  Neither rule changes a
+verdict or a witness; they only shrink the search.
 
 A search still undecided at node _LP_NODE (64) pauses there for the LP
 relaxation, whose rows every solution meets (the relaxation module sets
@@ -24,6 +26,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
 from . import relaxation
@@ -113,8 +116,13 @@ _LP_NODE = 64
 class _DegreeSearch:
     """DFS over edge states with unit propagation.
 
-    Constraints: every vertex ends with exactly `t` included edges; each
-    prescribed cycle satisfies the requested intersection mode.
+    Constraints: every vertex ends with exactly `t` included edges, and
+    every edge set keeps its rule.  A set is an edge list and a value v; its
+    rule is that some edge of it takes v, or, for a parity set (v is IN),
+    that its IN edges have the set's parity.  A mode is the sets its cycles
+    give: each cycle C gives (C, IN); hit-and-cohit adds (C, OUT), and
+    hit-matching adds ({e, f}, OUT) for each two consecutive edges e, f of
+    C, one pair for a 2-cycle.
 
     search() also prunes with two rules, built before it starts:
 
@@ -122,10 +130,11 @@ class _DegreeSearch:
       lie on no prescribed cycle and are not forced are interchangeable, so
       the IN edges of each class come first in edge-id order;
     - cut parity (Tutte, Canad. J. Math. 1952): |F & cut(S)| = t|S| (mod 2)
-      for every vertex set S.  The sets are each vertex pair joined by two or
-      more parallel edges, and one side of each bridge of the simple graph
-      underneath, unless bridge_parity is off (the pipelines turn it off:
-      their expansions of 2-connected graphs have no bridge).
+      for every vertex set S.  The parity sets are the cuts of each vertex
+      pair joined by two or more parallel edges, and of one side of each
+      bridge of the simple graph underneath, unless bridge_parity is off
+      (the pipelines turn it off: their expansions of 2-connected graphs
+      have no bridge).
 
     The first solution in search order (lexicographic over edge ids, IN
     before OUT), which search() returns unless its LP stage decides first,
@@ -148,8 +157,6 @@ class _DegreeSearch:
         self.m = G.m
         self.t = t
         self.mode = mode
-        self.matching = mode == "hit-matching"
-        self.cohit = mode == "hit-and-cohit"
         self.clock = clock
         self.bridge_parity = bridge_parity
         self.state = bytearray(self.m)
@@ -157,27 +164,37 @@ class _DegreeSearch:
         self.deg_und = G.degrees()
         self.trail: list[int] = []
         self.cycles = cycles
-        self.edge_cycle = [-1] * self.m
-        self.nbrs: list[tuple[int, ...]] = [()] * self.m
-        for ci, cyc in enumerate(cycles):
-            for e in cyc:
-                self.edge_cycle[e] = ci
-            if self.matching:  # the only mode that reads nbrs
+        self.edge_sets: list[list[int]] = [[] for _ in range(self.m)]
+        self.set_cut: list[tuple[int, ...]] = []
+        self.set_val: list[int] = []
+        self.set_parity: list[bool] = []
+        self.set_got: list[int] = []  # edges that took the set's value, plus a parity set's parity
+        self.set_und: list[int] = []
+        for cyc in cycles:
+            self._add_set(cyc, _IN)
+            if mode == "hit-and-cohit":
+                self._add_set(cyc, _OUT)
+            elif mode == "hit-matching":
                 k = len(cyc)
-                for i, e in enumerate(cyc):
-                    self.nbrs[e] = tuple({cyc[i - 1], cyc[(i + 1) % k]} - {e})
-        self.cyc_in = [0] * len(cycles)
-        self.cyc_out = [0] * len(cycles)
-        self.cyc_und = [len(c) for c in cycles]
+                for i in range(k if k > 2 else 1):
+                    self._add_set((cyc[i], cyc[(i + 1) % k]), _OUT)
         # Pruning rules, inert until _build_pruning.
         self.next_sib = [-1] * self.m
         self.prev_sib = [-1] * self.m
-        self.edge_sets: list[tuple[int, ...]] = [()] * self.m
-        self.set_cut: list[tuple[int, ...]] = []
-        self.set_und: list[int] = []
-        self.set_odd: list[int] = []  # parity the undecided cut edges still owe
         self.even_cuts: list[tuple[int, ...]] = []  # cuts of the sets with t|S| even
         self.roots: list[tuple[int, int]] = []  # decisions of one-edge cuts
+
+    def _add_set(self, cut: tuple[int, ...], val: int, odd: Optional[int] = None):
+        """Add the rule that some edge of cut takes val, or, with odd
+        given, that cut's IN edges number odd mod 2 (val is then IN)."""
+        p = len(self.set_cut)
+        for f in cut:
+            self.edge_sets[f].append(p)
+        self.set_cut.append(cut)
+        self.set_val.append(val)
+        self.set_parity.append(odd is not None)
+        self.set_got.append(odd or 0)
+        self.set_und.append(len(cut))
 
     def _build_pruning(self, forced: tuple[int, ...]):
         """Fill in both rules on an all-undecided state.  Forced edges stay
@@ -187,8 +204,8 @@ class _DegreeSearch:
         sets: list[tuple[tuple[int, ...], int]] = []
         ends = [(u, v) if u < v else (v, u) for u, v in G.edges]
         if len(set(ends)) < m:  # some endpoint pair repeats
-            free = [c < 0 for c in self.edge_cycle]
-            for e in forced:
+            free = [True] * m
+            for e in chain(forced, *self.cycles):
                 free[e] = False
             # Repeated pairs in order of first appearance, their edges in id
             # order, which is the order of u's incidence list.
@@ -207,25 +224,11 @@ class _DegreeSearch:
         for p, v, size in bridge_sides(G) if self.bridge_parity else ():
             cut = tuple(f for f in G._incident[v] if p in G.edges[f])
             sets.append((cut, self.t * size % 2))
-        if not sets:
-            return
-        edge_sets: list[list[int]] = [[] for _ in range(m)]
-        for i, (cut, odd) in enumerate(sets):
-            for f in cut:
-                edge_sets[f].append(i)
+        for cut, odd in sets:
+            self._add_set(cut, _IN, odd)
             if len(cut) == 1:
                 self.roots.append((cut[0], _IN if odd else _OUT))
-        self.edge_sets = [tuple(ids) for ids in edge_sets]
-        self.set_cut = [cut for cut, _ in sets]
-        self.set_und = [len(cut) for cut in self.set_cut]
-        self.set_odd = [odd for _, odd in sets]
         self.even_cuts = [cut for cut, odd in sets if not odd]
-
-    def _undecided_cycle_edge(self, ci: int) -> int:
-        for e in self.cycles[ci]:
-            if self.state[e] == _UNDEC:
-                return e
-        raise AssertionError("no undecided edge left in cycle")
 
     def assign(self, e0: int, val0: int) -> bool:
         """Set an edge and propagate all consequences; False on conflict.
@@ -236,17 +239,15 @@ class _DegreeSearch:
         decided edge, which covers t = 0 and vertices of degree t.  Once a
         scan has queued every undecided edge of a vertex, a later edge there
         adds nothing, so a rescan would only queue the same edges again.
+        A set is checked when its undecided edges number one or none.
         The rules are monotone, so any order of propagation reaches the same
         fixpoint, or a conflict."""
         state, trail, t = self.state, self.trail, self.t
         edges, incident = self.G.edges, self.G._incident
         deg_in, deg_und = self.deg_in, self.deg_und
-        edge_cycle, cyc_in, cyc_out, cyc_und = (
-            self.edge_cycle, self.cyc_in, self.cyc_out, self.cyc_und
-        )
         next_sib, prev_sib = self.next_sib, self.prev_sib
-        edge_sets, set_cut, set_und, set_odd = (
-            self.edge_sets, self.set_cut, self.set_und, self.set_odd
+        edge_sets, set_cut, set_val, set_parity, set_got, set_und = (
+            self.edge_sets, self.set_cut, self.set_val, self.set_parity, self.set_got, self.set_und
         )
         pending = [(e0, val0)]
         while pending:
@@ -263,20 +264,13 @@ class _DegreeSearch:
             u, v = edges[e]
             deg_und[u] -= 1
             deg_und[v] -= 1
-            ci = edge_cycle[e]
             if val == _IN:
                 deg_in[u] += 1
                 deg_in[v] += 1
-                if ci >= 0:
-                    cyc_in[ci] += 1
-            elif ci >= 0:
-                cyc_out[ci] += 1
-            if ci >= 0:
-                cyc_und[ci] -= 1
             for p in edge_sets[e]:
                 set_und[p] -= 1
-                if val == _IN:
-                    set_odd[p] ^= 1
+                if val == set_val[p]:
+                    set_got[p] += 1
             for w in (u, v):
                 d_in, d_und = deg_in[w], deg_und[w]
                 if d_in > t or d_in + d_und < t:
@@ -297,60 +291,39 @@ class _DegreeSearch:
                 pending.append((sib, val))
             for p in edge_sets[e]:
                 left = set_und[p]
-                if left == 1:
+                if left > 1:
+                    continue
+                # A set owes its value while none of its edges took it, or,
+                # for a parity set, while its IN edges have the wrong parity.
+                parity = set_parity[p]
+                owed = set_got[p] & 1 if parity else not set_got[p]
+                if not left:
+                    if owed:
+                        return False
+                elif owed or parity:
                     for f in set_cut[p]:
                         if state[f] == _UNDEC:
-                            pending.append((f, _IN if set_odd[p] else _OUT))
+                            pending.append((f, set_val[p] if owed else _OUT))
                             break
-                elif left == 0 and set_odd[p]:
-                    return False
-            if ci < 0:
-                continue
-            if val == _IN and self.matching:
-                for f in self.nbrs[e]:
-                    if state[f] == _IN:
-                        return False
-                    if state[f] == _UNDEC:
-                        pending.append((f, _OUT))
-            if cyc_in[ci] == 0:
-                if cyc_und[ci] == 0:
-                    return False
-                if cyc_und[ci] == 1:
-                    pending.append((self._undecided_cycle_edge(ci), _IN))
-            if self.cohit and cyc_out[ci] == 0:
-                if cyc_und[ci] == 0:
-                    return False
-                if cyc_und[ci] == 1:
-                    pending.append((self._undecided_cycle_edge(ci), _OUT))
         return True
 
     def undo_to(self, mark: int):
         state, trail = self.state, self.trail
         edges, deg_in, deg_und = self.G.edges, self.deg_in, self.deg_und
-        edge_cycle, cyc_in, cyc_out, cyc_und = (
-            self.edge_cycle, self.cyc_in, self.cyc_out, self.cyc_und
-        )
-        edge_sets, set_und, set_odd = self.edge_sets, self.set_und, self.set_odd
+        edge_sets, set_val, set_got, set_und = self.edge_sets, self.set_val, self.set_got, self.set_und
         for e in trail[mark:]:
             val = state[e]
             state[e] = _UNDEC
             u, v = edges[e]
             deg_und[u] += 1
             deg_und[v] += 1
-            ci = edge_cycle[e]
             if val == _IN:
                 deg_in[u] -= 1
                 deg_in[v] -= 1
-                if ci >= 0:
-                    cyc_in[ci] -= 1
-            elif ci >= 0:
-                cyc_out[ci] -= 1
-            if ci >= 0:
-                cyc_und[ci] += 1
             for p in edge_sets[e]:
                 set_und[p] += 1
-                if val == _IN:
-                    set_odd[p] ^= 1
+                if val == set_val[p]:
+                    set_got[p] -= 1
         del trail[mark:]
 
     def search(self, forced_in: Iterable[int] = ()) -> Optional[tuple[int, ...]]:

@@ -50,6 +50,15 @@ def test_unreachable_connectivity_is_refused_before_any_draw(monkeypatch, n, r, 
         random_regular_multigraph(n, r, 1, min_connectivity=k)
 
 
+@pytest.mark.parametrize("n, r, k, name, value", [
+    (4, -3, 0, "r", -3), (-4, 3, 2, "n", -4), (-2, -2, 0, "n", -2)])
+def test_negative_size_is_refused(n, r, k, name, value):
+    """A negative n or r is refused by name, not drawn as an edgeless graph
+    or reported as an unreachable connectivity."""
+    with pytest.raises(GraphError, match=rf"^{name} must be non-negative, got {value}$"):
+        random_regular_multigraph(n, r, 1, min_connectivity=k)
+
+
 def test_reachable_connectivity_is_not_refused():
     # The bound is tight: K4 as a 3-regular graph on 4 vertices is 3-connected.
     assert random_regular_multigraph(4, 3, 1, min_connectivity=3).n == 4

@@ -178,14 +178,15 @@ def test_lp_stage_is_sound(instance, data, pivots):
                     assert v.witness is None or v.witness.edge_ids in want, (t, mode, edge)
 
 
-def _rescan(search: _DegreeSearch, owed: list[int]) -> list[tuple[str, int]]:
+def _rescan(search: _DegreeSearch, start: list[int]) -> list[tuple[str, int]]:
     """Every rule that a naive rescan of search's state finds forcing an
     undecided edge, or already broken, as (rule, index of its vertex, cycle,
-    edge or parity set).  owed holds each parity set's parity with no edge
-    decided.
+    edge or parity set).  The hit, cohit and matching rules are read from
+    search's cycles and mode, not from its sets, so that the sets it built
+    are checked too.  start holds each set's counter with no edge decided.
     Vertices with no decided edge are skipped: the search reaches a vertex
     through its first decision there."""
-    G, t, state = search.G, search.t, search.state
+    G, t, state, mode = search.G, search.t, search.state, search.mode
     found = []
     for w in range(G.n):
         ids = G.incident(w)
@@ -199,24 +200,27 @@ def _rescan(search: _DegreeSearch, owed: list[int]) -> list[tuple[str, int]]:
         und = sum(state[e] == _UNDEC for e in cyc)
         if und <= 1 and _IN not in (state[e] for e in cyc):
             found.append(("hit", ci))
-        if search.cohit and und <= 1 and _OUT not in (state[e] for e in cyc):
+        if mode == "hit-and-cohit" and und <= 1 and _OUT not in (state[e] for e in cyc):
             found.append(("cohit", ci))
-        if search.matching:
-            found += [("matching", e) for e in cyc
-                      if state[e] == _IN and any(state[f] != _OUT for f in search.nbrs[e])]
+        if mode == "hit-matching":
+            k = len(cyc)
+            found += [("matching", cyc[i]) for i in range(k) if state[cyc[i]] == _IN
+                      and {state[cyc[i - 1]], state[cyc[(i + 1) % k]]} != {_OUT}]
     for e in range(G.m):
         sib = search.next_sib[e] if state[e] == _OUT else search.prev_sib[e]
         if state[e] != _UNDEC and sib >= 0 and state[sib] != state[e]:
             found.append(("sibling", e))
     for p, cut in enumerate(search.set_cut):
+        if not search.set_parity[p]:
+            continue
         und = sum(state[f] == _UNDEC for f in cut)
-        odd = (owed[p] + sum(state[f] == _IN for f in cut)) % 2
+        odd = (start[p] + sum(state[f] == _IN for f in cut)) % 2
         if und == 1 or (und == 0 and odd):
             found.append(("parity", p))
     return found
 
 
-def _recount(search: _DegreeSearch, owed: list[int]) -> tuple:
+def _recount(search: _DegreeSearch, start: list[int]) -> tuple:
     """search's counters, recounted from its edge states."""
     def count(ids, val):
         return sum(search.state[f] == val for f in ids)
@@ -225,9 +229,8 @@ def _recount(search: _DegreeSearch, owed: list[int]) -> tuple:
     return (
         [count(ids, _IN) for ids in incident],
         [count(ids, _UNDEC) for ids in incident],
-        *([count(cyc, val) for cyc in search.cycles] for val in (_IN, _OUT, _UNDEC)),
         [count(cut, _UNDEC) for cut in search.set_cut],
-        [(odd + count(cut, _IN)) % 2 for odd, cut in zip(owed, search.set_cut)],
+        [got + count(cut, val) for got, cut, val in zip(start, search.set_cut, search.set_val)],
     )
 
 
@@ -242,7 +245,7 @@ def test_propagation_reaches_its_fixpoint(instance, t, mode, data):
     G, O = instance
     search = _DegreeSearch(G, t, tuple(O.cycles), mode, _Clock(None))
     search._build_pruning(())
-    owed = list(search.set_odd)
+    start = list(search.set_got)
     for e, val in search.roots:
         if not search.assign(e, val):
             return
@@ -255,10 +258,9 @@ def test_propagation_reaches_its_fixpoint(instance, t, mode, data):
         if not search.assign(e, data.draw(st.sampled_from((_IN, _OUT)))):
             search.undo_to(mark)
             continue
-        assert _rescan(search, owed) == [], (t, mode)
-        assert _recount(search, owed) == (
-            list(search.deg_in), search.deg_und, search.cyc_in, search.cyc_out,
-            search.cyc_und, search.set_und, search.set_odd,
+        assert _rescan(search, start) == [], (t, mode)
+        assert _recount(search, start) == (
+            list(search.deg_in), search.deg_und, search.set_und, search.set_got,
         ), (t, mode)
 
 
