@@ -2,16 +2,15 @@
 
 1. third_pipeline: a 3t-regular 2-connected graph, prescribed odd cycles,
    a forced edge -> t-factor meeting every cycle in a non-empty matching.
-2. orient_even_indegree + half_pipeline: a 2t-regular graph (t even) ->
-   even-indegree orientation avoiding oriented prescribed cycles, then a
-   t-factor that both meets and co-meets every cycle.
+2. half_pipeline: a 2t-regular graph (t even) -> even-indegree orientation
+   avoiding oriented prescribed cycles, split into a t-factor that both
+   meets and co-meets every cycle.
 3. extend_factor: grow any witness to an l-factor of the same parity.
 """
 
 from cyclehit import (
     extend_factor,
     half_pipeline,
-    orient_even_indegree,
     pack_cycles,
     petersen,
     petersen_cycles,
@@ -33,10 +32,10 @@ for e in (0, 7, 14):
 H = random_regular_multigraph(10, 4, seed=42)
 Q = pack_cycles(H, parity="odd")
 print(f"\nrandom 4-regular n=10 (seed 42): {len(Q)} odd cycles packed")
-D = orient_even_indegree(H, Q, t=2)
+rep = half_pipeline(H, Q, t=2)
+D = rep.orientation
 print(f"  indegrees: {D.indegrees()} (all even, no cycle oriented: "
       f"{verify_orientation(H, D, Q)})")
-rep = half_pipeline(H, Q, t=2)
 print(f"  2-factor: {rep.factor.edge_ids}")
 for cyc in Q.cycles:
     shared = [e for e in cyc if e in rep.factor.edge_ids]

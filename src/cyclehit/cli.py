@@ -20,7 +20,7 @@ from .families import FamilyInstance, gen_doubled, gen_sec6_2k, gen_thm4, gen_th
 from .instances import pack_cycles, random_regular_multigraph
 from .multigraph import GraphError, Multigraph, parse_multigraph, vertex_connectivity
 from .orientation import parse_orientation, serialize_orientation, verify_orientation
-from .pipelines import extend_factor, half_pipeline, orient_even_indegree, third_pipeline
+from .pipelines import extend_factor, half_pipeline, third_pipeline
 from .solver import SAT, UNSAT, BudgetExceededError, SearchBudget, t_factor_oracle
 
 __all__ = ["main"]
@@ -238,8 +238,8 @@ def _cmd_verify(args) -> int:
 def _cmd_orient(args) -> int:
     G = _load_graph(args.graph)
     O = _load_cycles(args.cycles, G)
-    D = orient_even_indegree(G, O, args.t, budget=_budget(args),
-                             checked=not args.unchecked, arbitrary=args.arbitrary)
+    D = half_pipeline(G, O, args.t, budget=_budget(args),
+                      checked=not args.unchecked, arbitrary=args.arbitrary).orientation
     if args.out:
         _write(args.out, serialize_orientation(D))
     print(f"ok t={args.t} oriented m={G.m}")

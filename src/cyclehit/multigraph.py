@@ -42,6 +42,13 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
+def _ascii_int(token: str) -> int:
+    """int(token), refusing the '_' and the non-ASCII digits int() reads."""
+    if token.isascii() and "_" not in token:
+        return int(token)
+    raise ValueError(f"not an integer: {token!r}")
+
+
 def _read_rows(
     text: str | bytes, header: str, row: str, width: Optional[int]
 ) -> tuple[tuple[int, tuple[int, ...]], list[int], list[tuple[int, ...]]]:
@@ -59,6 +66,8 @@ def _read_rows(
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    # A text without '_' and non-ASCII needs no check beyond int().
+    to_int = int if text.isascii() and "_" not in text else _ascii_int
     spec = header.split()
     row_tag = row.split()[0]
     lines = enumerate(text.splitlines(), start=1)
@@ -72,7 +81,7 @@ def _read_rows(
     if tokens[:2] != spec[:2] or len(tokens) != len(spec):
         raise FormatError(line_no, f"expected header {header!r}, got {raw.strip()!r}")
     try:
-        counts = tuple(map(int, tokens[2:]))
+        counts = tuple(map(to_int, tokens[2:]))
     except ValueError:
         raise FormatError(line_no, "header counts must be integers") from None
     if min(counts) < 0:
@@ -96,11 +105,11 @@ def _read_rows(
     # One map() over all entries, drained inside the try: a map() per row
     # costs about as much again as the int() calls of a two-entry row.
     try:
-        ints = iter([*map(int, chain.from_iterable(cells))])
+        ints = iter([*map(to_int, chain.from_iterable(cells))])
     except ValueError:
         for bad_line, tokens in zip(line_nos, cells):
             try:
-                [*map(int, tokens)]
+                [*map(to_int, tokens)]
             except ValueError:
                 raise FormatError(bad_line, "entries must be integers") from None
     if len(cells) != count:

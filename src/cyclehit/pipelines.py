@@ -5,8 +5,8 @@ cycle in a non-empty matching: through a prescribed edge for odd cycles on
 2-connected input, or, with arbitrary=True, for cycles of any length >= 3
 on 3-connected input.
 half_pipeline: t-factor (t even) of a 2t-regular graph meeting and
-co-meeting every prescribed cycle, via an even-indegree orientation; odd
-cycles on 2-connected input, or arbitrary=True as above.
+co-meeting every prescribed cycle, and the even-indegree orientation it
+splits; odd cycles on 2-connected input, or arbitrary=True as above.
 Both solve one cycle-hitting perfect matching of a cubic expansion with the
 exact search.
 """
@@ -34,7 +34,6 @@ from .solver import (
 __all__ = [
     "PipelineReport",
     "third_pipeline",
-    "orient_even_indegree",
     "half_pipeline",
     "extend_factor",
 ]
@@ -121,47 +120,6 @@ def third_pipeline(
     return PipelineReport(factor=F, nodes=nodes)
 
 
-def orient_even_indegree(
-    G: Multigraph,
-    O: CycleSet,
-    t: int,
-    budget: Optional[SearchBudget] = None,
-    checked: bool = True,
-    arbitrary: bool = False,
-) -> Orientation:
-    """Orientation with every indegree even and no prescribed cycle oriented
-    (G 2-connected and 2t-regular, t even).
-
-    Method: take the balanced orientation in which every prescribed cycle
-    is directed (balanced_orientation), then flip the original edges
-    matched in a cycle-hitting perfect matching of the cubic expansion by
-    even-leaf gadget trees.  With arbitrary=True, cycles of any length >= 3
-    are accepted and G must be 3-connected.  checked=False skips only the
-    connectivity and parity checks.
-    """
-    return _orient(G, O, t, budget, checked, arbitrary)[0]
-
-
-def _orient(
-    G: Multigraph,
-    O: CycleSet,
-    t: int,
-    budget: Optional[SearchBudget],
-    checked: bool,
-    arbitrary: bool,
-) -> tuple[Orientation, int]:
-    """orient_even_indegree, plus the node count of its matching search."""
-    _require(t >= 2 and t % 2 == 0, "t must be an even integer >= 2")
-    _check_common(G, O, 2 * t, checked, arbitrary)
-    D = balanced_orientation(G, O)
-    tree = build_even_leaf_tree(2 * t)
-    ids, nodes = _match_expansion(G, O, tree, budget, None, "orientation matching instance")
-    flipped = D.flipped(ids)
-    if not verify_orientation(G, flipped, O):
-        raise AssertionError("orientation postcondition failed")
-    return flipped, nodes
-
-
 def half_pipeline(
     G: Multigraph,
     O: CycleSet,
@@ -170,12 +128,25 @@ def half_pipeline(
     checked: bool = True,
     arbitrary: bool = False,
 ) -> PipelineReport:
-    """t-factor (t even) sharing at least one edge with every prescribed
-    cycle and leaving at least one edge of each uncovered; the inputs are
-    those of orient_even_indegree."""
-    D, nodes = _orient(G, O, t, budget, checked, arbitrary)
-    F = check_factor(split_factor(G, D, O, t), O, "hit-and-cohit")
-    return PipelineReport(factor=F, nodes=nodes, orientation=D)
+    """t-factor (t even) sharing an edge with every prescribed cycle and
+    leaving an edge of each out (G 2-connected and 2t-regular), split from
+    the orientation the report also holds: the balanced orientation, in
+    which every prescribed cycle is directed, with the original edges of a
+    cycle-hitting perfect matching of the cubic expansion by even-leaf
+    gadget trees flipped, so every indegree is even and no prescribed cycle
+    is oriented.  With arbitrary=True, cycles of any length >= 3 are
+    accepted and G must be 3-connected.  checked=False skips only the
+    connectivity and parity checks."""
+    _require(t >= 2 and t % 2 == 0, "t must be an even integer >= 2")
+    _check_common(G, O, 2 * t, checked, arbitrary)
+    D = balanced_orientation(G, O)
+    tree = build_even_leaf_tree(2 * t)
+    ids, nodes = _match_expansion(G, O, tree, budget, None, "orientation matching instance")
+    flipped = D.flipped(ids)
+    if not verify_orientation(G, flipped, O):
+        raise AssertionError("orientation postcondition failed")
+    F = check_factor(split_factor(G, flipped, O, t), O, "hit-and-cohit")
+    return PipelineReport(factor=F, nodes=nodes, orientation=flipped)
 
 
 def extend_factor(G: Multigraph, F: Factor, l: int) -> Factor:

@@ -77,7 +77,7 @@ class OracleVerdict:
 
 
 class _Clock:
-    """Shared node counter and deadline for one logical search."""
+    """Node counter and deadline of one t_factor_oracle call's one engine."""
 
     def __init__(self, budget: Optional[SearchBudget]):
         self.nodes = 0

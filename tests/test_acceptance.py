@@ -21,7 +21,6 @@ from cyclehit import (
     gen_thm5,
     half_pipeline,
     matched_leaf_count,
-    orient_even_indegree,
     pack_cycles,
     petersen,
     petersen_cycles,
@@ -222,7 +221,7 @@ def test_criterion_5_orientation_lemma_batch(capsys):
     t0 = time.monotonic()
     passed = 0
     for seed, G, O in _suite_instances():
-        D = orient_even_indegree(G, O, 2)
+        D = half_pipeline(G, O, 2).orientation
         if verify_orientation(G, D, O):
             passed += 1
     elapsed = time.monotonic() - t0

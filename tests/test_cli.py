@@ -94,9 +94,12 @@ def test_verify_false_exits_1(tmp_path, capsys):
 
 
 def test_orient_subcommand(tmp_path, capsys):
+    """orient writes a verified orientation, byte for byte the one that
+    solve writes for the matching half pipeline."""
     g = tmp_path / "g.mg"
     c = tmp_path / "g.cyc"
     o = tmp_path / "g.ori"
+    h = tmp_path / "h.ori"
     assert run(capsys, "gen", "--family", "random", "--n", "9", "--r", "4",
                "--seed", "5", "--out", str(g), "--cycles", str(c))[0] == 0
     code, _, _ = run(capsys, "orient", "--graph", str(g), "--cycles", str(c),
@@ -106,6 +109,15 @@ def test_orient_subcommand(tmp_path, capsys):
                        "--orientation", str(o))
     assert code == 0
     assert "verified=True" in out
+    assert run(capsys, "solve", "--pipeline", "half", "--graph", str(g), "--cycles", str(c),
+               "--t", "2", "--out-orientation", str(h))[0] == 0
+    assert o.read_bytes() == h.read_bytes()
+    g, c = GOLDEN_INPUTS / "arb_9_2_0.mg", GOLDEN_INPUTS / "arb_9_2_0.cyc"
+    assert run(capsys, "orient", "--graph", str(g), "--cycles", str(c), "--t", "2",
+               "--arbitrary", "--out", str(o))[0] == 0
+    assert run(capsys, "solve", "--pipeline", "half-arb", "--graph", str(g), "--cycles", str(c),
+               "--t", "2", "--out-orientation", str(h))[0] == 0
+    assert o.read_bytes() == h.read_bytes()
 
 
 def test_usage_and_input_errors_exit_2(tmp_path, capsys):

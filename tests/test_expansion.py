@@ -12,7 +12,7 @@ from cyclehit import (
     build_gadget_tree,
     cubic_expansion,
     cycle_vertices,
-    orient_even_indegree,
+    half_pipeline,
     pack_cycles,
     random_regular_multigraph,
     split_factor,
@@ -171,7 +171,7 @@ def test_split_factor_rejects_odd_indegree():
 def test_split_factor_is_a_hitting_and_cohitting_t_factor(r, t, seed):
     G = random_regular_multigraph(10, r, seed=seed)
     O = pack_cycles(G, parity="odd")
-    D = orient_even_indegree(G, O, t)
+    D = half_pipeline(G, O, t).orientation
     F = split_factor(G, D, O, t)
     assert verify_factor(G, F, t)
     assert verify_intersections(F, O, "hit-and-cohit")
@@ -188,7 +188,7 @@ def test_split_factor_matches_the_split_graph_matching(r, t, arbitrary):
         n = 6 + seed % 7 if r == 4 else 9 + seed % 4
         G = random_regular_multigraph(n, r, seed, min_connectivity=3 if arbitrary else 2)
         O = pack_cycles(G, parity=None if arbitrary else "odd")
-        D = orient_even_indegree(G, O, t, arbitrary=arbitrary)
+        D = half_pipeline(G, O, t, arbitrary=arbitrary).orientation
         assert split_factor(G, D, O, t) == reference_split_factor(G, D, O, t)
 
 
@@ -202,7 +202,7 @@ def test_split_factor_rejects_what_the_split_graph_rejects():
         r, t = (4, 2) if seed % 2 else (8, 4)
         G = random_regular_multigraph(8, r, seed)
         O = pack_cycles(G, parity="odd" if seed % 3 else None)
-        D = orient_even_indegree(G, O, t, checked=False)
+        D = half_pipeline(G, O, t, checked=False).orientation
         flips = [*pack_cycles(G, parity=None, max_len=5).cycles, *O.cycles]
         for _ in range(4):
             E = D.flipped(e for c in flips if rng.random() < 0.4 for e in c)

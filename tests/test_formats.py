@@ -7,7 +7,7 @@ for byte."""
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclehit import (
     FormatError,
@@ -86,6 +86,16 @@ MALFORMED = [
     ("ori", "p ori 6\n" + K4_ORI + "o 6 3\n", 7, "edge id 6 out of range"),
     ("ori", "p ori 6\n" + K4_ORI + "o 4 1\n", 7, "edge 4 oriented twice"),
     ("ori", "p ori 6\n" + K4_ORI + "o 5 0\n", 7, "vertex 0 is not an endpoint of edge 5"),
+    # Tokens that int() reads but the grammar does not: '_' separators and
+    # non-ASCII digits.
+    ("mg", "p mg 1_1 1\ne 0 10\n", 1, "header counts must be integers"),
+    ("cyc", "p cyc \u0661\nc 3 0 1 2\n", 1, "header counts must be integers"),
+    ("mg", "p mg 11 1\ne 0 1_0\n", 2, "entries must be integers"),
+    ("mg", "p mg 3 1\ne \u0661 2\n", 2, "entries must be integers"),
+    ("mg", "p mg 11 2\ne 0 1_0\ne 1 x\n", 2, "entries must be integers"),
+    ("cyc", "p cyc 1\nc 3 0 1 \u0662\n", 2, "entries must be integers"),
+    ("fac", "p fac 1 2\nf 0\nf \uff15\n", 3, "entries must be integers"),
+    ("ori", "p ori 6\n" + K4_ORI + "o 5 0_3\n", 7, "entries must be integers"),
 ]
 
 
@@ -117,6 +127,7 @@ COMMENT = st.text(string.ascii_letters + string.digits + " =:#-", max_size=12)
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(3, 12), st.integers(0, 10**6), st.lists(COMMENT, max_size=2))
+@example(9, 3, ["min_sat_t = 2, café"])  # '_' and a non-ASCII letter in a comment
 def test_solved_instances_round_trip(n, seed, comments):
     G = random_regular_multigraph(n, 4, seed)
     O = pack_cycles(G, parity="odd")

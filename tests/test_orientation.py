@@ -9,7 +9,7 @@ from cyclehit import (
     balanced_orientation,
     cycle_vertices,
     gen_doubled,
-    orient_even_indegree,
+    half_pipeline,
     pack_cycles,
     random_regular_multigraph,
     verify_orientation,
@@ -55,10 +55,10 @@ def test_verify_orientation_odd_indegree_rejected():
     assert not verify_orientation(G, D, O)
 
 
-def test_orient_even_indegree_random_instance():
+def test_half_pipeline_orientation_random_instance():
     G = random_regular_multigraph(10, 4, seed=7)
     O = pack_cycles(G, parity="odd")
-    D = orient_even_indegree(G, O, 2)
+    D = half_pipeline(G, O, 2).orientation
     assert verify_orientation(G, D, O)
     assert all(d % 2 == 0 for d in D.indegrees())
 

@@ -14,11 +14,11 @@ from cyclehit import (
     gen_doubled,
     gen_thm5,
     half_pipeline,
-    orient_even_indegree,
     pack_cycles,
     petersen,
     petersen_cycles,
     random_regular_multigraph,
+    split_factor,
     t_factor_oracle,
     third_pipeline,
     two_factorization,
@@ -75,19 +75,19 @@ def test_third_pipeline_precondition_checks():
         third_pipeline(G4, O4, 0, 2)
 
 
-def test_orient_even_indegree_doubled_triangle():
+def test_half_pipeline_orientation_doubled_triangle():
     G = doubled_triangle()
     O = CycleSet(G, [(0, 1, 2)])
-    D = orient_even_indegree(G, O, 2)
+    D = half_pipeline(G, O, 2).orientation
     assert verify_orientation(G, D, O)
     assert all(d in (0, 2, 4) for d in D.indegrees())
 
 
-def test_orient_even_indegree_requires_even_t():
+def test_half_pipeline_requires_even_t():
     G = doubled_triangle()
     O = CycleSet(G, [(0, 1, 2)])
     with pytest.raises(GraphError):
-        orient_even_indegree(G, O, 3)
+        half_pipeline(G, O, 3)
 
 
 def test_half_pipeline_doubled_triangle():
@@ -224,8 +224,6 @@ def test_arbitrary_pipelines_reject_two_cycles():
     for checked in (True, False):
         with pytest.raises(GraphError, match="2-cycles are not allowed here"):
             half_pipeline(G, O, 2, checked=checked, arbitrary=True)
-        with pytest.raises(GraphError, match="2-cycles are not allowed here"):
-            orient_even_indegree(G, O, 2, checked=checked, arbitrary=True)
 
 
 def test_checked_pipelines_never_compute_exact_connectivity(monkeypatch):
@@ -255,7 +253,6 @@ _HUGE_T = [
     pytest.param(lambda G, O, **kw: half_pipeline(G, O, 1000, **kw), 2000, id="half"),
     pytest.param(lambda G, O, **kw: half_pipeline(G, O, 1000, arbitrary=True, **kw),
                  2000, id="half-arb"),
-    pytest.param(lambda G, O, **kw: orient_even_indegree(G, O, 1000, **kw), 2000, id="orient"),
 ]
 
 
@@ -316,7 +313,8 @@ PIPELINE_CASES = [
 def test_pipelines_return_verified_witnesses(case, data):
     """Every pipeline, checked, on small seeded random inputs returns a
     witness that the verification predicates accept, within a fixed node
-    budget; the half pipelines' orientation passes verify_orientation."""
+    budget; the half pipelines' orientation passes verify_orientation and
+    splits into their factor."""
     pipeline, r, t, l, parity, connectivity, (lo, hi) = case
     n = data.draw(st.integers(lo, hi).filter(lambda n: n * r % 2 == 0), label="n")
     G = random_regular_multigraph(n, r, data.draw(st.integers(0, 10**6), label="seed"),
@@ -331,9 +329,8 @@ def test_pipelines_return_verified_witnesses(case, data):
         mode = "hit-matching"
     else:
         report = half_pipeline(G, O, t, budget=budget, arbitrary=arbitrary)
-        D = orient_even_indegree(G, O, t, budget=budget, arbitrary=arbitrary)
-        assert D == report.orientation
-        assert verify_orientation(G, D, O)
+        assert split_factor(G, report.orientation, O, t) == report.factor
+        assert verify_orientation(G, report.orientation, O)
         F, mode = report.factor, "hit-and-cohit"
     assert verify_factor(G, F, t) and verify_intersections(F, O, mode)
     if l is not None:
