@@ -7,6 +7,7 @@ parallel edges (and 2-cycles in particular) make vertex sequences ambiguous.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Sequence
 
 from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
@@ -69,7 +70,10 @@ class CycleSet:
         seen: set[int] = set()
         m = host.m
         for c in cycles:
-            c = tuple(map(int, c))
+            try:
+                c = tuple(map(index, c))
+            except TypeError:
+                raise GraphError(f"cycle {len(checked)}: edge ids must be integers") from None
             for e in c:
                 if not (0 <= e < m):
                     raise GraphError(f"edge id {e} out of range")

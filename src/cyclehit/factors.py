@@ -8,10 +8,13 @@ perfect-matching peeling of the resulting regular bipartite graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, Optional, Union
 
 from .cycles import CycleSet
-from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
+from .multigraph import (
+    FormatError, GraphError, Multigraph, _first_non_integer, _read_rows, _write_rows,
+)
 from .orientation import balanced_orientation
 
 __all__ = [
@@ -39,7 +42,11 @@ class Factor:
     def __post_init__(self):
         if self.t < 0:
             raise GraphError("target degree must be non-negative")
-        ids = tuple(sorted(set(map(int, self.edge_ids))))
+        try:
+            ids = tuple(sorted(set(map(index, self.edge_ids))))
+        except TypeError:
+            i = _first_non_integer(self.edge_ids)
+            raise GraphError(f"factor edge id at position {i} must be an integer") from None
         if len(ids) != len(self.edge_ids):
             raise GraphError("factor edge ids must be distinct")
         m = self.host.m

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain, combinations, islice
+from operator import index
 from typing import Iterable, Optional
 
 __all__ = [
@@ -42,11 +43,28 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
+def _first_non_integer(values: Iterable) -> int:
+    """Position of the first value that operator.index refuses, or -1."""
+    for i, x in enumerate(values):
+        try:
+            index(x)
+        except TypeError:
+            return i
+    return -1
+
+
 def _ascii_int(token: str) -> int:
     """int(token), refusing the '_' and the non-ASCII digits int() reads."""
     if token.isascii() and "_" not in token:
         return int(token)
     raise ValueError(f"not an integer: {token!r}")
+
+
+def _int_reader(tokens: list[str]):
+    """int when no token holds '_' or a non-ASCII character, which need no
+    check beyond int(); _ascii_int otherwise."""
+    joined = "".join(tokens)
+    return int if joined.isascii() and "_" not in joined else _ascii_int
 
 
 def _read_rows(
@@ -66,8 +84,6 @@ def _read_rows(
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    # A text without '_' and non-ASCII needs no check beyond int().
-    to_int = int if text.isascii() and "_" not in text else _ascii_int
     spec = header.split()
     row_tag = row.split()[0]
     lines = enumerate(text.splitlines(), start=1)
@@ -81,7 +97,7 @@ def _read_rows(
     if tokens[:2] != spec[:2] or len(tokens) != len(spec):
         raise FormatError(line_no, f"expected header {header!r}, got {raw.strip()!r}")
     try:
-        counts = tuple(map(to_int, tokens[2:]))
+        counts = tuple(map(_int_reader(tokens[2:]), tokens[2:]))
     except ValueError:
         raise FormatError(line_no, "header counts must be integers") from None
     if min(counts) < 0:
@@ -104,8 +120,12 @@ def _read_rows(
         cells.append(tokens)
     # One map() over all entries, drained inside the try: a map() per row
     # costs about as much again as the int() calls of a two-entry row.
+    # Comments are not entries, so a '_' in one (family files name
+    # min_sat_t) does not send the entries through _ascii_int.
+    entries = [*chain.from_iterable(cells)]
+    to_int = _int_reader(entries)
     try:
-        ints = iter([*map(to_int, chain.from_iterable(cells))])
+        ints = iter([*map(to_int, entries)])
     except ValueError:
         for bad_line, tokens in zip(line_nos, cells):
             try:
@@ -140,7 +160,12 @@ class Multigraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        edges = tuple([(int(u), int(v)) for u, v in edges])
+        edges = tuple(edges)
+        try:
+            edges = tuple([(index(u), index(v)) for u, v in edges])
+        except TypeError:
+            eid = _first_non_integer(chain.from_iterable(edges)) // 2
+            raise GraphError(f"edge {eid}: endpoints must be integers") from None
         incident = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):

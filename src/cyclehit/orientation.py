@@ -4,10 +4,13 @@ prescribed cycles, and the even-indegree check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Optional
 
 from .cycles import CycleSet
-from .multigraph import FormatError, GraphError, Multigraph, _read_rows, _write_rows
+from .multigraph import (
+    FormatError, GraphError, Multigraph, _first_non_integer, _read_rows, _write_rows,
+)
 
 __all__ = [
     "Orientation",
@@ -28,7 +31,13 @@ class Orientation:
     def __post_init__(self):
         if len(self.head) != self.host.m:
             raise GraphError("orientation must assign a head to every edge")
-        for e, h in enumerate(self.head):
+        try:
+            head = tuple(map(index, self.head))
+        except TypeError:
+            e = _first_non_integer(self.head)
+            raise GraphError(f"head of edge {e} must be an integer") from None
+        object.__setattr__(self, "head", head)
+        for e, h in enumerate(head):
             if h not in self.host.endpoints(e):
                 raise GraphError(f"head of edge {e} is not one of its endpoints")
 

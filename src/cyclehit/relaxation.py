@@ -54,9 +54,10 @@ from .multigraph import Multigraph
 # 2-core host.  A random cubic graph with 255 edges (about 180 rows by 255
 # columns) takes 50-120 ms there, and a pipeline's cubic expansion with
 # 150 edges (about 108 by 149) 12-19 ms.  Of the 2,352 pipeline searches
-# of solve-checked and solve-unchecked at seeds 7 and 41-60, 14 reach node
-# 64: the cap refuses 10 LPs, 2 decide nothing and 2 give the witness, one
-# per workload; solve-arb's 588 at those seeds never reach it.
+# of solve-checked and solve-unchecked at seeds 7 and 41-60, 35 reach node
+# 32: the cap refuses 25 LPs, 7 decide nothing and 3 give the witness (2 in
+# solve-checked, 1 in solve-unchecked); of solve-arb's 588 at those seeds,
+# 2 reach it, and both LPs decide nothing.
 _LP_MAX_CELLS = 12_500
 # Pivots and bound flips one LP may take before it stops where it is.
 _LP_MAX_PIVOTS = 1000

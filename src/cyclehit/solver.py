@@ -12,7 +12,7 @@ underneath, meets a factor with the parity Tutte's f-factor theorem fixes;
 these cuts are parity sets of the same engine.  Neither rule changes a
 verdict or a witness; they only shrink the search.
 
-A search still undecided at node _LP_NODE (64) pauses there for the LP
+A search still undecided at node _LP_NODE (32) pauses there for the LP
 relaxation, whose rows every solution meets (the relaxation module sets
 them out), and which runs only on an LP within its size cap.  An exact
 Farkas certificate ends the search UNSAT, an integral LP point that checks
@@ -107,10 +107,11 @@ _UNDEC, _IN, _OUT = 0, 1, 2
 # forced edges and the cuts of the parity sets that owe even parity before
 # any edge is decided, so the node sets when it runs, not what it decides.
 # The threshold families' LPs (thm5's in every mode, sec6-2k's through
-# those cuts) decide at once, so an early pause saves the nodes before it;
-# at 32, some of the pipelines' small expansions, within the LP's size cap,
-# would pay for the LP too.
-_LP_NODE = 64
+# those cuts) decide at once, so an early pause saves the nodes before it.
+# The pipelines seldom get this far: of the 2,800 searches of solve-checked,
+# solve-unchecked and solve-arb at seeds 1-20, 51 reach node 32 (13 reach
+# 64); the size cap refuses 41 of those LPs, and 1 of the other 10 decides.
+_LP_NODE = 32
 
 
 class _DegreeSearch:
@@ -389,7 +390,7 @@ def t_factor_oracle(
     holds for the LP relaxation, whose rows every solution meets, as the
     relaxation module sets out); budget exhaustion is reported as its own
     status, never as UNSAT.  The witness is the first one in search
-    order when the search ends within _LP_NODE nodes (64); past that node,
+    order when the search ends within _LP_NODE nodes (32); past that node,
     it may be an integral point of the LP relaxation instead, when that LP
     is within its size cap.
 

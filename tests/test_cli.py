@@ -145,6 +145,13 @@ def test_budget_exit_3(tmp_path, capsys):
                        "--t", "2", "--mode", "hit", "--max-nodes", "3")
     assert code == 3
     assert out.startswith("BUDGET")
+    # The time budget, on a search that the LP stage does not end.
+    assert run(capsys, "gen", "--family", "thm5", "--r", "10",
+               "--out", str(g), "--cycles", str(c))[0] == 0
+    code, out, _ = run(capsys, "oracle", "--graph", str(g), "--cycles", str(c),
+                       "--t", "3", "--mode", "hit", "--max-seconds", "1e-9")
+    assert code == 3
+    assert out.startswith("BUDGET ")
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -272,6 +279,17 @@ EXIT_CONTRACT = [
                  id="solve-2-huge-t-half-unchecked"),
     ("solve", ("--pipeline", "half", *_R4, "--t", "2", "--max-nodes", "1"),
      None, 3, "", "budget exceeded: orientation matching instance exceeded"),
+    # bridge.mg is two K4s, each with one edge subdivided, joined by the
+    # bridge 4-9: every perfect matching holds the bridge, edge 14, and
+    # none holds edge 0.  Unchecked, the search proves that; checked, the
+    # graph is refused first.
+    pytest.param("solve", ("--pipeline", "third", "--graph", "bridge.mg", "--cycles", "bridge.cyc",
+                           "--t", "1", "--force-edge", "0", "--unchecked"),
+                 None, 2, "", "error: expanded matching instance is unsolvable; "
+                 "the input violates a precondition\n", id="solve-2-precondition-breach-unchecked"),
+    pytest.param("solve", ("--pipeline", "third", "--graph", "bridge.mg", "--cycles", "bridge.cyc",
+                           "--t", "1", "--force-edge", "0"),
+                 None, 2, "", "error: graph must be 2-connected\n", id="solve-2-bridge-checked"),
     ("solve", ("--pipeline", "third", *_PETERSEN, "--t", "1", "--force-edge", "0"),
      "cyclehit.pipelines.cubic_expansion", 4, "", "Traceback"),
     ("oracle", ("--graph", "inputs/petersen.mg", "--t", "1"),
@@ -351,6 +369,10 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch,
     shutil.copytree(GOLDEN_INPUTS, tmp_path / "inputs")
     (tmp_path / "out").mkdir()
     (tmp_path / "bad.cyc").write_text("p cyc 1\nc 3 0 1 99\n")  # Petersen has 15 edges
+    (tmp_path / "bridge.mg").write_text("p mg 10 15\n" + "".join(
+        f"e {u} {v}\n" for u, v in [(4, 0), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (9, 5),
+                                   (9, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8), (4, 9)]))
+    (tmp_path / "bridge.cyc").write_text("p cyc 0\n")
     monkeypatch.chdir(tmp_path)
     if broken is not None:
         def fail(*args, **kwargs):

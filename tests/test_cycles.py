@@ -88,6 +88,12 @@ def test_cycle_set_edge_disjointness():
         assert O.walks == tuple(cycle_vertices(G, c) for c in cycles)  # kept, not redone
     with pytest.raises(GraphError):
         CycleSet(G, [(0, 1, 2), (0, 3)])  # share edge 0
+    # Edge ids are integers, never truncated: int() would read (0.4, 1.9,
+    # 2.2) as the triangle (0, 1, 2).
+    with pytest.raises(GraphError, match="^cycle 0: edge ids must be integers$"):
+        CycleSet(G, [(0.4, 1.9, 2.2)])
+    with pytest.raises(GraphError, match="^cycle 1: edge ids must be integers$"):
+        CycleSet(G, [(0, 1, 2), ("5", 4, 3)])
 
 
 def test_parse_errors_carry_line_numbers():

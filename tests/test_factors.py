@@ -28,6 +28,11 @@ def test_factor_validation():
         Factor(G, 1, (0, 0))
     with pytest.raises(GraphError):
         Factor(G, 1, (9,))
+    # Edge ids are integers, never truncated: int(0.9) is edge 0.
+    with pytest.raises(GraphError, match="^factor edge id at position 0 must be an integer$"):
+        Factor(Multigraph(2, [(0, 1)]), 1, (0.9,))
+    with pytest.raises(GraphError, match="^factor edge id at position 1 must be an integer$"):
+        Factor(G, 1, (0, "5"))
 
 
 def test_verify_factor():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from cyclehit import (
     FormatError,
     Orientation,
+    gen_thm5,
     half_pipeline,
     pack_cycles,
     parse_cycles,
@@ -24,6 +25,7 @@ from cyclehit import (
     serialize_multigraph,
     serialize_orientation,
 )
+from cyclehit import multigraph
 from conftest import c4, doubled_triangle, k4
 
 # (parse, serialize) per format; .cyc is read against the doubled triangle
@@ -38,75 +40,110 @@ K4_ORI = "o 0 1\no 1 2\no 2 3\no 3 2\no 4 3\n"  # edges 0-4 of K4, edge 5 missin
 
 MALFORMED = [
     # The shared grammar, in every format.
-    ("mg", "", 1, "missing 'p mg' header"),
-    ("cyc", "# only a comment\n\n", 2, "missing 'p cyc' header"),
-    ("fac", "f 0\n", 1, "expected header 'p fac <t> <count>'"),
-    ("ori", "# k4\np mg 4 6\n", 2, "expected header 'p ori <m>'"),
-    ("mg", "p mg 3\n", 1, "expected header"),
-    ("mg", "p mg 3 x\n", 1, "header counts must be integers"),
-    ("cyc", "p cyc two\n", 1, "header counts must be integers"),
-    ("mg", "p mg -1 0\n", 1, "non-negative"),
-    ("mg", "p mg 3 -1\n", 1, "non-negative"),
-    ("cyc", "p cyc -1\n", 1, "non-negative"),
-    ("fac", "p fac -1 0\n", 1, "non-negative"),
-    ("fac", "p fac 1 -1\n", 1, "non-negative"),
-    ("ori", "p ori -6\n", 1, "non-negative"),
-    ("mg", "p mg 3 2\ne 0 1\nf 1 2\n", 3, "expected line 'e <u> <v>'"),
-    ("cyc", "p cyc 1\no 3 0 1 2\n", 2, "expected line 'c <len> <eids>'"),
-    ("fac", "p fac 1 2\n# row 1\nf 0\ne 5\n", 4, "expected line 'f <eid>'"),
-    ("ori", "p ori 6\n" + K4_ORI + "e 5 3\n", 7, "expected line 'o <eid> <head>'"),
-    ("mg", "p mg 3 2\ne 0 1 2\ne 1 2\n", 2, "expected line"),
-    ("cyc", "p cyc 1\nc\n", 2, "expected line"),
-    ("fac", "p fac 1 2\nf 0 5\nf 5\n", 2, "expected line"),
-    ("ori", "p ori 6\n" + K4_ORI + "o 5\n", 7, "expected line"),
-    ("mg", "p mg 3 2\ne 0 1\ne 1 x\n", 3, "entries must be integers"),
-    ("cyc", "p cyc 1\nc 3 0 1 2.0\n", 2, "entries must be integers"),
-    ("fac", "p fac 1 2\nf zero\nf 5\n", 2, "entries must be integers"),
-    ("ori", "p ori 6\no 0 one\n" + K4_ORI[6:] + "o 5 3\n", 2, "entries must be integers"),
-    ("mg", "p mg 3 1\ne 0 1\n\ne 1 2\n", 4, "more than the declared 1 rows"),
-    ("cyc", "p cyc 1\nc 3 0 1 2\nc 3 3 4 5\n", 3, "more than the declared 1 rows"),
-    ("fac", "p fac 1 1\nf 0\nf 5\n", 3, "more than the declared 1 rows"),
-    ("ori", "p ori 6\n" + K4_ORI + "o 5 3\no 5 3\n", 8, "more than the declared 6 rows"),
-    ("mg", "p mg 3 3\ne 0 1\ne 1 2\n# end\n", 4, "declared 3 rows but found 2"),
-    ("cyc", "p cyc 2\nc 3 0 1 2\n", 2, "declared 2 rows but found 1"),
-    ("fac", "p fac 1 2\nf 0\n", 2, "declared 2 rows but found 1"),
-    ("ori", "p ori 6\n" + K4_ORI, 6, "declared 6 rows but found 5"),
+    ("00", "mg", "", 1, "missing 'p mg' header"),
+    ("01", "cyc", "# only a comment\n\n", 2, "missing 'p cyc' header"),
+    ("02", "fac", "f 0\n", 1, "expected header 'p fac <t> <count>'"),
+    ("03", "ori", "# k4\np mg 4 6\n", 2, "expected header 'p ori <m>'"),
+    ("04", "mg", "p mg 3\n", 1, "expected header"),
+    ("05", "mg", "p mg 3 x\n", 1, "header counts must be integers"),
+    ("06", "cyc", "p cyc two\n", 1, "header counts must be integers"),
+    ("07", "mg", "p mg -1 0\n", 1, "non-negative"),
+    ("08", "mg", "p mg 3 -1\n", 1, "non-negative"),
+    ("09", "cyc", "p cyc -1\n", 1, "non-negative"),
+    ("10", "fac", "p fac -1 0\n", 1, "non-negative"),
+    ("11", "fac", "p fac 1 -1\n", 1, "non-negative"),
+    ("12", "ori", "p ori -6\n", 1, "non-negative"),
+    ("13", "mg", "p mg 3 2\ne 0 1\nf 1 2\n", 3, "expected line 'e <u> <v>'"),
+    ("14", "cyc", "p cyc 1\no 3 0 1 2\n", 2, "expected line 'c <len> <eids>'"),
+    ("15", "fac", "p fac 1 2\n# row 1\nf 0\ne 5\n", 4, "expected line 'f <eid>'"),
+    ("16", "ori", "p ori 6\n" + K4_ORI + "e 5 3\n", 7, "expected line 'o <eid> <head>'"),
+    ("17", "mg", "p mg 3 2\ne 0 1 2\ne 1 2\n", 2, "expected line"),
+    ("18", "cyc", "p cyc 1\nc\n", 2, "expected line"),
+    ("19", "fac", "p fac 1 2\nf 0 5\nf 5\n", 2, "expected line"),
+    ("20", "ori", "p ori 6\n" + K4_ORI + "o 5\n", 7, "expected line"),
+    ("21", "mg", "p mg 3 2\ne 0 1\ne 1 x\n", 3, "entries must be integers"),
+    ("22", "cyc", "p cyc 1\nc 3 0 1 2.0\n", 2, "entries must be integers"),
+    ("23", "fac", "p fac 1 2\nf zero\nf 5\n", 2, "entries must be integers"),
+    ("24", "ori", "p ori 6\no 0 one\n" + K4_ORI[6:] + "o 5 3\n", 2, "entries must be integers"),
+    ("25", "mg", "p mg 3 1\ne 0 1\n\ne 1 2\n", 4, "more than the declared 1 rows"),
+    ("26", "cyc", "p cyc 1\nc 3 0 1 2\nc 3 3 4 5\n", 3, "more than the declared 1 rows"),
+    ("27", "fac", "p fac 1 1\nf 0\nf 5\n", 3, "more than the declared 1 rows"),
+    ("28", "ori", "p ori 6\n" + K4_ORI + "o 5 3\no 5 3\n", 8, "more than the declared 6 rows"),
+    ("29", "mg", "p mg 3 3\ne 0 1\ne 1 2\n# end\n", 4, "declared 3 rows but found 2"),
+    ("30", "cyc", "p cyc 2\nc 3 0 1 2\n", 2, "declared 2 rows but found 1"),
+    ("31", "fac", "p fac 1 2\nf 0\n", 2, "declared 2 rows but found 1"),
+    ("32", "ori", "p ori 6\n" + K4_ORI, 6, "declared 6 rows but found 5"),
     # What each format means.
-    ("mg", "p mg 3 2\ne 0 1\ne 0 3\n", 3, "vertex id out of range 0..2"),
-    ("mg", "p mg 3 2\ne -1 1\ne 0 2\n", 2, "vertex id out of range"),
-    ("mg", "p mg 3 2\ne 0 1\ne 2 2\n", 3, "loop edge at vertex 2"),
-    ("cyc", "p cyc 1\nc 3 0 1\n", 2, "declared length 3 but 2 edge ids"),
-    ("cyc", "p cyc 2\nc 3 0 1 2\nc 2 3 4\n", 3, "are not parallel"),
-    ("cyc", "p cyc 2\nc 2 0 1\nc 3 3 4 5\n", 2, "are not parallel"),
-    ("cyc", "p cyc 2\nc 2 0 3\nc 3 3 4 5\n", 3, "not edge-disjoint at edge 3"),
-    ("cyc", "p cyc 1\nc 3 0 1 6\n", 2, "edge id 6 out of range"),
-    ("fac", "p fac 1 2\nf 5\nf 0\n", 3, "strictly increasing"),
-    ("fac", "p fac 1 2\nf 0\nf 6\n", 3, "edge id 6 out of range"),
-    ("ori", "p ori 5\n" + K4_ORI, 1, "orientation is for 5 edges, host has 6"),
-    ("ori", "p ori 6\n" + K4_ORI + "o 6 3\n", 7, "edge id 6 out of range"),
-    ("ori", "p ori 6\n" + K4_ORI + "o 4 1\n", 7, "edge 4 oriented twice"),
-    ("ori", "p ori 6\n" + K4_ORI + "o 5 0\n", 7, "vertex 0 is not an endpoint of edge 5"),
+    ("33", "mg", "p mg 3 2\ne 0 1\ne 0 3\n", 3, "vertex id out of range 0..2"),
+    ("34", "mg", "p mg 3 2\ne -1 1\ne 0 2\n", 2, "vertex id out of range"),
+    ("35", "mg", "p mg 3 2\ne 0 1\ne 2 2\n", 3, "loop edge at vertex 2"),
+    ("36", "cyc", "p cyc 1\nc 3 0 1\n", 2, "declared length 3 but 2 edge ids"),
+    ("37", "cyc", "p cyc 2\nc 3 0 1 2\nc 2 3 4\n", 3, "are not parallel"),
+    ("38", "cyc", "p cyc 2\nc 2 0 1\nc 3 3 4 5\n", 2, "are not parallel"),
+    ("39", "cyc", "p cyc 2\nc 2 0 3\nc 3 3 4 5\n", 3, "not edge-disjoint at edge 3"),
+    ("40", "cyc", "p cyc 1\nc 3 0 1 6\n", 2, "edge id 6 out of range"),
+    ("41", "fac", "p fac 1 2\nf 5\nf 0\n", 3, "strictly increasing"),
+    ("42", "fac", "p fac 1 2\nf 0\nf 6\n", 3, "edge id 6 out of range"),
+    ("43", "ori", "p ori 5\n" + K4_ORI, 1, "orientation is for 5 edges, host has 6"),
+    ("44", "ori", "p ori 6\n" + K4_ORI + "o 6 3\n", 7, "edge id 6 out of range"),
+    ("45", "ori", "p ori 6\n" + K4_ORI + "o 4 1\n", 7, "edge 4 oriented twice"),
+    ("46", "ori", "p ori 6\n" + K4_ORI + "o 5 0\n", 7, "vertex 0 is not an endpoint of edge 5"),
     # Tokens that int() reads but the grammar does not: '_' separators and
     # non-ASCII digits.
-    ("mg", "p mg 1_1 1\ne 0 10\n", 1, "header counts must be integers"),
-    ("cyc", "p cyc \u0661\nc 3 0 1 2\n", 1, "header counts must be integers"),
-    ("mg", "p mg 11 1\ne 0 1_0\n", 2, "entries must be integers"),
-    ("mg", "p mg 3 1\ne \u0661 2\n", 2, "entries must be integers"),
-    ("mg", "p mg 11 2\ne 0 1_0\ne 1 x\n", 2, "entries must be integers"),
-    ("cyc", "p cyc 1\nc 3 0 1 \u0662\n", 2, "entries must be integers"),
-    ("fac", "p fac 1 2\nf 0\nf \uff15\n", 3, "entries must be integers"),
-    ("ori", "p ori 6\n" + K4_ORI + "o 5 0_3\n", 7, "entries must be integers"),
+    ("47", "mg", "p mg 1_1 1\ne 0 10\n", 1, "header counts must be integers"),
+    ("48", "cyc", "p cyc \u0661\nc 3 0 1 2\n", 1, "header counts must be integers"),
+    ("49", "mg", "p mg 11 1\ne 0 1_0\n", 2, "entries must be integers"),
+    ("50", "mg", "p mg 3 1\ne \u0661 2\n", 2, "entries must be integers"),
+    ("51", "mg", "p mg 11 2\ne 0 1_0\ne 1 x\n", 2, "entries must be integers"),
+    ("52", "cyc", "p cyc 1\nc 3 0 1 \u0662\n", 2, "entries must be integers"),
+    ("53", "fac", "p fac 1 2\nf 0\nf \uff15\n", 3, "entries must be integers"),
+    ("54", "ori", "p ori 6\n" + K4_ORI + "o 5 0_3\n", 7, "entries must be integers"),
+    # A '_' or a non-ASCII letter in a comment is no entry, and decides
+    # nothing about the entries (family files name min_sat_t).
+    ("comment-underscore-header", "mg", "# min_sat_t=1\np mg 1_1 1\ne 0 10\n", 2,
+     "header counts must be integers"),
+    ("comment-underscore-row", "mg", "# min_sat_t=1\np mg 11 1\ne 0 1_0\n", 3,
+     "entries must be integers"),
+    ("comment-non-ascii-later-row", "cyc", "p cyc 2\n# café\nc 3 0 1 2\nc 3 3 4 \u0665\n", 4,
+     "entries must be integers"),
 ]
+# Each case's id is its name, format and line, never its position, so a
+# case inserted anywhere renames no other test.  The numbered names are the
+# positions the first cases were listed at.
+MALFORMED_IDS = [f"{name}-{fmt}-line{line_no}" for name, fmt, _, line_no, _ in MALFORMED]
+assert len(set(MALFORMED_IDS)) == len(MALFORMED_IDS)
 
 
 @pytest.mark.parametrize(
-    "fmt, text, line_no, message", MALFORMED, ids=[f"{i:02d}-{c[0]}-line{c[2]}" for i, c in enumerate(MALFORMED)]
+    "fmt, text, line_no, message", [case[1:] for case in MALFORMED], ids=MALFORMED_IDS
 )
 def test_malformed_input_names_its_line(fmt, text, line_no, message):
     parse, _ = FORMATS[fmt]
     with pytest.raises(FormatError, match=message) as exc:
         parse(text)
     assert exc.value.line_no == line_no
+
+
+def test_family_comment_keeps_entries_on_int(monkeypatch):
+    """Family files name min_sat_t in their comment; that '_' sends no
+    entry through the per-token _ascii_int check."""
+    ascii_int, calls = multigraph._ascii_int, []
+
+    def spy(token):
+        calls.append(token)
+        return ascii_int(token)
+
+    monkeypatch.setattr(multigraph, "_ascii_int", spy)
+    inst = gen_thm5(5)
+    mg, cyc = inst.serialize()
+    assert "min_sat_t" in mg and "min_sat_t" in cyc
+    G = parse_multigraph(mg)
+    assert G.edges == inst.graph.edges
+    assert parse_cycles(cyc, G).cycles == inst.cycles.cycles
+    assert calls == []
+    with pytest.raises(FormatError, match="entries must be integers"):
+        parse_multigraph("# min_sat_t=1\np mg 11 1\ne 0 1_0\n")
+    assert calls
 
 
 @pytest.mark.parametrize("parse, serialize, text", [

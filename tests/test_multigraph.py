@@ -43,6 +43,14 @@ def test_loops_and_range_rejected():
         Multigraph(3, [(0, 5), (1, 1)])
     with pytest.raises(GraphError, match="^edge 0: endpoint out of range$"):
         Multigraph(3, [(4, 4)])
+    # Endpoints are integers, never truncated: int() would read these as
+    # the edges (0, 1), (1, 2) and (1, 2).
+    with pytest.raises(GraphError, match="^edge 0: endpoints must be integers$"):
+        Multigraph(3, [(0.7, 1.2), (1, 2)])
+    with pytest.raises(GraphError, match="^edge 1: endpoints must be integers$"):
+        Multigraph(3, [(0, 1), ("1", 2)])
+    with pytest.raises(GraphError, match="^edge 1: endpoints must be integers$"):
+        Multigraph(3, [(0, 1), (True, 2.9)])
 
 
 def test_components_and_connectivity():

@@ -28,6 +28,12 @@ def test_orientation_validation():
         Orientation(G, (2, 2, 3, 3))  # vertex 2 is not an endpoint of edge 0
     with pytest.raises(GraphError):
         Orientation(G, (1, 2, 3))
+    # Heads are integers: a float head would serialize as "o 0 1.0", which
+    # parse_orientation refuses.
+    with pytest.raises(GraphError, match="^head of edge 0 must be an integer$"):
+        Orientation(Multigraph(2, [(0, 1), (0, 1)]), (1.0, 0.0))
+    with pytest.raises(GraphError, match="^head of edge 2 must be an integer$"):
+        Orientation(G, (1, 2, "3", 3))
 
 
 def test_flipped():

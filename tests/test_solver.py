@@ -50,6 +50,14 @@ def test_oracle_budget_is_not_unsat():
     assert v.status == BUDGET_EXCEEDED
     assert v.witness is None
     assert "BUDGET" in v.summary()
+    # The time budget: thm5 r=10's LP is over the size cap, so the search
+    # goes on past the LP pause and meets its deadline at a clock check.
+    inst = gen_thm5(10)
+    v = t_factor_oracle(inst.graph, 3, inst.cycles, "hit",
+                        budget=SearchBudget(max_seconds=1e-9))
+    assert v.status == BUDGET_EXCEEDED
+    assert v.witness is None
+    assert v.summary().startswith("BUDGET ")
 
 
 def test_search_budget_time_limit_must_be_positive():
